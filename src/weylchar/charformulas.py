@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+from collections import Counter
 
 from .gtpop import cell_bounds, cells, enumerate_gt, enumerate_pops, pattern_weight, pop_grade
 from .qalg import QFactorRatio, QPoly, q_binomial, q_pochhammer
@@ -161,7 +163,9 @@ class GradedCharacter:
             canon = tuple(sorted(key, reverse=True))
             orbits.setdefault(canon, []).append((key, poly))
         for canon, members in orbits.items():
-            size = len(set(itertools.permutations(canon)))
+            size = math.factorial(len(canon))
+            for mult in Counter(canon).values():
+                size //= math.factorial(mult)
             if len(members) != size:
                 return False
             first = members[0][1]
@@ -401,7 +405,11 @@ def tensor_char_fundamental(variant, m, k, rank):
         w = _tensor_term_weight(variant, n, m, k, i)
         deficit = base - w.size()
         shift, rem = divmod(deficit, n + 1)
-        assert rem == 0
+        if rem:
+            raise ArithmeticError(
+                "contracted weight %r is not a determinant twist of the product"
+                % (w,)
+            )
         coeff = q_binomial(m, i) * q_binomial(k, i) * q_pochhammer(i)
         total = total + (qwhittaker_char(w) * coeff).det_twist(shift)
     return total

@@ -259,12 +259,28 @@ def _read_char_json(path):
             payload = json.load(fh)
     else:
         payload = json.load(sys.stdin)
-    n = payload["rank"]
+    if not isinstance(payload, dict):
+        raise ValueError("character JSON must be an object")
+    n = payload.get("rank")
+    if not _is_json_int(n):
+        raise ValueError("character JSON needs an integer 'rank'")
+    if not isinstance(payload.get("terms"), list):
+        raise ValueError("character JSON needs a list 'terms'")
     terms = {}
     for term in payload["terms"]:
+        if not isinstance(term, dict):
+            raise ValueError("each term must be an object")
+        for field in ("exponents", "coefficient"):
+            value = term.get(field)
+            if not isinstance(value, list) or not all(map(_is_json_int, value)):
+                raise ValueError("each term needs an integer list %r" % field)
         coeff = QPoly({i: c for i, c in enumerate(term["coefficient"])})
         terms[tuple(term["exponents"])] = coeff
     return GradedCharacter(n, terms)
+
+
+def _is_json_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _cmd_decompose(args):

@@ -135,6 +135,26 @@ class TestDecompose:
         out = run_cli("decompose", stdin="not json")
         assert out.returncode == 2
 
+    def assert_input_error(self, payload):
+        out = run_cli("decompose", stdin=json.dumps(payload))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: ")
+        assert "Traceback" not in out.stderr
+
+    def test_top_level_list_is_input_error(self):
+        self.assert_input_error([1, 2])
+
+    def test_scalar_coefficient_is_input_error(self):
+        self.assert_input_error(
+            {"rank": 2, "terms": [{"exponents": [0, 0, 0], "coefficient": 5}]}
+        )
+
+    def test_float_coefficient_is_input_error(self):
+        self.assert_input_error(
+            {"rank": 2, "terms": [{"exponents": [0, 0, 0], "coefficient": [1.5]}]}
+        )
+
 
 class TestVerify:
     def test_list(self):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from weylchar import (
     IntegralityError,
@@ -15,11 +15,12 @@ from weylchar import (
     q_int,
     q_pochhammer,
 )
+from weylchar.qalg import KRONECKER_CUTOFF
 
 
 class TestQPoly:
     def test_zero_coefficients_dropped(self):
-        assert QPoly({2: 0, 1: 3}).coeffs == {1: 3}
+        assert QPoly({2: 0, 1: 3}).coeffs == (0, 3)
         assert QPoly({0: 1}) - QPoly({0: 1}) == QPoly.zero()
 
     def test_negative_exponent_rejected(self):
@@ -73,6 +74,100 @@ class TestQPoly:
     def test_exact_division_round_trip(self, a, k):
         p = QPoly(a)
         assert (p * one_minus_q(k)).divide_exact(one_minus_q(k)) == p
+
+
+def naive_product(a, b):
+    """Dict convolution of two {exponent: coefficient} maps, zeros dropped."""
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+@st.composite
+def coeff_dicts(draw, max_len=300):
+    """Signed coefficient dicts of length up to max_len, so products fall on
+    both sides of KRONECKER_CUTOFF, with magnitudes up to 2^70, sometimes a
+    negative leading coefficient and some explicit zero entries."""
+    length = draw(st.integers(0, max_len))
+    bound = draw(st.sampled_from((9, 2**70)))
+    dense = draw(st.lists(st.integers(-bound, bound), min_size=length, max_size=length))
+    if dense and draw(st.booleans()):
+        dense[-1] = -abs(dense[-1]) or -1
+    zeros = draw(st.sets(st.integers(0, max_len), max_size=8))
+    out = {k: c for k, c in enumerate(dense) if c}
+    out.update((k, 0) for k in zeros)
+    return out
+
+
+class TestDenseArithmetic:
+    @settings(deadline=None)
+    @given(coeff_dicts(), coeff_dicts())
+    def test_product_matches_naive_convolution(self, a, b):
+        assert (QPoly(a) * QPoly(b)).coeffs == QPoly(naive_product(a, b)).coeffs
+
+    @settings(deadline=None)
+    @given(coeff_dicts(max_len=2 * KRONECKER_CUTOFF),
+           coeff_dicts(max_len=2 * KRONECKER_CUTOFF))
+    def test_product_near_cutoff(self, a, b):
+        assert QPoly(a) * QPoly(b) == QPoly(naive_product(a, b))
+
+    @pytest.mark.parametrize("nbytes", range(1, 11))
+    def test_product_coefficient_at_slot_bound(self, nbytes):
+        # eight coefficients of magnitude 2^(4w-2) give a middle product
+        # coefficient of exactly +-2^(8w-1), one past what w signed bytes hold
+        m = 2 ** (4 * nbytes - 2)
+        for a, b in (((m,) * 8, (m,) * 8), ((m,) * 8, (-m,) * 8),
+                     ((-m, m) * 4, (m, -m) * 4)):
+            a, b = dict(enumerate(a)), dict(enumerate(b))
+            assert (QPoly(a) * QPoly(b)).coeffs == QPoly(naive_product(a, b)).coeffs
+
+    @settings(deadline=None)
+    @given(coeff_dicts(max_len=40))
+    def test_dense_form_is_trimmed(self, a):
+        p = QPoly(a)
+        assert not p.coeffs or p.coeffs[-1] != 0
+        assert p.coeffs == tuple(a.get(k, 0) for k in range(len(p.coeffs)))
+        assert p.degree() == max((k for k, c in a.items() if c), default=-1)
+
+    @settings(deadline=None)
+    @given(coeff_dicts(max_len=40), coeff_dicts(max_len=40))
+    def test_sum_and_negation(self, a, b):
+        expected = {k: a.get(k, 0) + b.get(k, 0) for k in set(a) | set(b)}
+        assert QPoly(a) + QPoly(b) == QPoly(expected)
+        assert QPoly(a) - QPoly(a) == QPoly.zero()
+        assert -QPoly(a) == QPoly({k: -c for k, c in a.items()})
+
+    @settings(deadline=None)
+    @given(coeff_dicts(), coeff_dicts(max_len=40))
+    def test_divide_exact_round_trip_large_degree(self, a, b):
+        p, d = QPoly(a), QPoly(b)
+        if d.is_zero():
+            return
+        assert (p * d).divide_exact(d) == p
+
+    @settings(deadline=None)
+    @given(st.integers(20, 60), st.integers(1, 40))
+    def test_divide_exact_cyclotomic_large_degree(self, n, k):
+        p = q_binomial(n, n // 2)
+        assert (p * one_minus_q(k)).divide_exact(one_minus_q(k)) == p
+        with pytest.raises(IntegralityError):
+            # a multiple of 1 - q^k vanishes at q = 1; this does not
+            (p * one_minus_q(k) + 1).divide_exact(one_minus_q(k))
+
+    @settings(deadline=None)
+    @given(coeff_dicts(max_len=40))
+    def test_equal_polynomials_agree(self, a):
+        # a second construction through (exponent, coefficient) pairs in
+        # reverse order, with a cancelling extra term
+        pairs = sorted(a.items(), reverse=True) + [(7, 5), (7, -5)]
+        p, q = QPoly(a), QPoly(pairs)
+        assert p == q
+        assert hash(p) == hash(q)
+        assert str(p) == str(q)
+        assert repr(p) == repr(q)
+        assert p.coefficient_list() == q.coefficient_list()
 
 
 class TestQInt:
