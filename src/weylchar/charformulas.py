@@ -6,6 +6,13 @@ x_1, ..., x_{n+1}, keyed by exponent tuples (gl-style). The sl-character is
 read off by ignoring overall determinant factors; sl_normalize() re-keys
 every monomial so its exponent minimum is zero, which is lossless within a
 character whose monomials share a total degree.
+
+Graded Weyl characters are q-Whittaker functions P_lam(x; q, 0), built by the
+branching rule (Macdonald, *Symmetric Functions and Hall Polynomials*, 2nd
+ed., Ch. VI §7): strip the last variable, sum over the interlacing rows one
+shorter with per-row q-binomial weights, and memoise on row tuples. pop_char
+and irreducible_char keep their own GT-pattern enumeration, so the POP route
+stays an independent check of the branching route.
 """
 
 from __future__ import annotations
@@ -13,9 +20,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 
-from .gtpop import cell_bounds, cells, enumerate_gt, enumerate_pops, pattern_weight, pop_grade
+from .gtpop import enumerate_gt, enumerate_pops, pattern_weight, pop_grade
 from .qalg import QFactorRatio, QPoly, q_binomial, q_pochhammer
 from .weights import (
     Partition,
@@ -31,7 +39,12 @@ class DecompositionError(RuntimeError):
 
 
 class GradedCharacter:
-    """Z[q]-combination of monomials x^e, e an (n+1)-tuple of exponents."""
+    """Z[q]-combination of monomials x^e, e an (n+1)-tuple of exponents.
+
+    `terms` maps each exponent tuple to a nonzero QPoly. Treat it as
+    read-only: a character built by the branching rule shares its dict with
+    the row memo.
+    """
 
     __slots__ = ("n", "terms")
 
@@ -85,31 +98,28 @@ class GradedCharacter:
         if not isinstance(other, GradedCharacter):
             return NotImplemented
         self._check_rank(other)
-        return GradedCharacter(
-            self.n, itertools.chain(self.terms.items(), other.terms.items())
-        )
+        return _wrap_char(self.n, _accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         if not isinstance(other, GradedCharacter):
             return NotImplemented
         self._check_rank(other)
-        return GradedCharacter(
+        return _wrap_char(
             self.n,
-            itertools.chain(
-                self.terms.items(), ((k, -p) for k, p in other.terms.items())
-            ),
+            _accumulate(dict(self.terms), ((k, -p) for k, p in other.terms.items())),
         )
 
     def __neg__(self):
-        return GradedCharacter(self.n, {k: -p for k, p in self.terms.items()})
+        return _wrap_char(self.n, {k: -p for k, p in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, QPoly)):
             if isinstance(other, int):
                 other = QPoly.const(other)
-            return GradedCharacter(
-                self.n, {k: p * other for k, p in self.terms.items()}
-            )
+            if other.is_zero():
+                return _wrap_char(self.n, {})
+            # Z[q] has no zero divisors, so no product coefficient vanishes
+            return _wrap_char(self.n, {k: p * other for k, p in self.terms.items()})
         if not isinstance(other, GradedCharacter):
             return NotImplemented
         self._check_rank(other)
@@ -120,7 +130,7 @@ class GradedCharacter:
                 acc = data.get(key)
                 prod = p1 * p2
                 data[key] = prod if acc is None else acc + prod
-        return GradedCharacter(self.n, data)
+        return _wrap_char(self.n, {k: p for k, p in data.items() if p})
 
     __rmul__ = __mul__
 
@@ -130,7 +140,7 @@ class GradedCharacter:
             raise ValueError("determinant twist must be nonnegative")
         if c == 0:
             return self
-        return GradedCharacter(
+        return _wrap_char(
             self.n, {tuple(e + c for e in k): p for k, p in self.terms.items()}
         )
 
@@ -193,6 +203,39 @@ class GradedCharacter:
         }
 
 
+_new_object = object.__new__
+_set_n = GradedCharacter.n.__set__
+_set_terms = GradedCharacter.terms.__set__
+
+
+def _wrap_char(n, terms):
+    """GradedCharacter adopting a checked {key: nonzero QPoly} dict as is.
+
+    Results of internal arithmetic come through here; only the public
+    constructor validates keys and merges repeated ones. The dict is not
+    copied, so it must not be written to afterwards.
+    """
+    ch = _new_object(GradedCharacter)
+    _set_n(ch, n)
+    _set_terms(ch, terms)
+    return ch
+
+
+def _accumulate(data, items):
+    """Add (key, QPoly) pairs into data in place, dropping cancelled keys."""
+    for key, poly in items:
+        acc = data.get(key)
+        if acc is None:
+            data[key] = poly
+            continue
+        poly = acc + poly
+        if poly:
+            data[key] = poly
+        else:
+            del data[key]
+    return data
+
+
 def char_multiply(a, b):
     """Product of graded characters (monomial convolution)."""
     if not isinstance(a, GradedCharacter) or not isinstance(b, GradedCharacter):
@@ -201,13 +244,21 @@ def char_multiply(a, b):
 
 
 def qwhittaker_partition_char(p, n):
-    """Graded character attached to a bottom row with at most n+1 parts.
+    """q-Whittaker function P_p(x_1, ..., x_{n+1}; q, 0), p with <= n+1 parts.
 
-    Each pattern contributes its gl-weight monomial with coefficient
-    prod over cells (j, i) of the Gaussian binomial [a+b choose a]_q, where
-    (a, b) are the overlay part-count and part-size bounds of the cell.
-    Adding a full column to the bottom row twists by the determinant and
-    leaves every (a, b) unchanged.
+    Built by the branching rule (Macdonald, *Symmetric Functions and Hall
+    Polynomials*, 2nd ed., Ch. VI §7) at t = 0: for a row of length L,
+
+        P_row = sum over rows `upper` of length L-1 interlacing `row` of
+                psi_{row/upper}(q) * x_L^{|row| - |upper|} * P_upper,
+
+    with psi_{row/upper} = prod_k [row_k - row_{k+1} choose row_k - upper_k]_q.
+    Unrolled down to a single entry this is the sum over GT patterns of the
+    gl-weight monomial times the per-cell Gaussian binomials [a+b choose a]_q
+    of the POP overlay bounds; the recursion is memoised on row tuples, so
+    characters whose patterns share sub-rows share that work. Adding a full
+    column to the bottom row twists by the determinant and leaves every
+    psi unchanged.
     """
     if not isinstance(p, Partition):
         p = Partition(p)
@@ -216,16 +267,35 @@ def qwhittaker_partition_char(p, n):
 
 @functools.lru_cache(maxsize=None)
 def _partition_char_cached(parts, n):
+    if n < 1:
+        raise ValueError("rank must be a positive integer")
+    return _wrap_char(n, _row_terms(Partition(parts).padded(n + 1)))
+
+
+@functools.lru_cache(maxsize=None)
+def _row_terms(row):
+    """{exponent tuple: QPoly} of P_row in len(row) variables; read-only."""
+    if len(row) == 1:
+        return {row: QPoly.one()}
+    size = sum(row)
+    pairs = list(zip(row, row[1:]))
     data = {}
-    for pattern in enumerate_gt(Partition(parts), n):
-        coeff = QPoly.one()
-        for j, i in cells(n):
-            a, b = cell_bounds(pattern, j, i)
-            coeff = coeff * q_binomial(a + b, a)
-        key = pattern_weight(pattern)
-        acc = data.get(key)
-        data[key] = coeff if acc is None else acc + coeff
-    return GradedCharacter(n, data)
+    # interlacing forces row_{k+1} <= upper_k <= row_k, so every upper row
+    # drawn from these ranges is already weakly decreasing
+    for upper in itertools.product(*(range(lo, hi + 1) for hi, lo in pairs)):
+        psi = None
+        for (hi, lo), u in zip(pairs, upper):
+            if lo < u < hi:  # the binomial is 1 at either end
+                binom = q_binomial(hi - lo, hi - u)
+                psi = binom if psi is None else psi * binom
+        last = (size - sum(upper),)
+        for key, coeff in _row_terms(upper).items():
+            key += last
+            if psi is not None:
+                coeff = coeff * psi
+            acc = data.get(key)
+            data[key] = coeff if acc is None else acc + coeff
+    return data
 
 
 def qwhittaker_char(lam):
@@ -497,28 +567,35 @@ def decompose_weyl_basis(f):
     and coefficient, and subtract that multiple of the corresponding
     character. Leaders strictly decrease, so the peel terminates; a
     nonsymmetric input is rejected up front.
+
+    The remainder is kept on dominant keys only: the remainder of a
+    symmetric input stays symmetric, so its dominant coefficients determine
+    it, and each step subtracts only the dominant terms of the leader.
     """
     if not isinstance(f, GradedCharacter):
         raise TypeError("decompose_weyl_basis expects a GradedCharacter")
     if not f.is_symmetric():
         raise DecompositionError("input is not a symmetric function")
     n = f.n
-    remainder = f
+    remainder = {k: p for k, p in f.terms.items() if _is_dominant(k)}
     out = []
     seen = set()
-    while remainder.terms:
-        dominant = [
-            k
-            for k in remainder.terms
-            if all(k[a] >= k[a + 1] for a in range(n))
-        ]
-        if not dominant:
-            raise DecompositionError("no dominant leading term remains")
-        key = max(dominant)
+    while remainder:
+        key = max(remainder)
         if key in seen:
             raise DecompositionError("peel revisited a leading term")
         seen.add(key)
-        coeff = remainder.terms[key]
+        coeff = remainder[key]
         out.append((partition_to_weight(Partition(key), n), coeff))
-        remainder = remainder - qwhittaker_partition_char(Partition(key), n) * coeff
+        leader = qwhittaker_partition_char(Partition(key), n)
+        neg = -coeff
+        _accumulate(
+            remainder,
+            ((k, p * neg) for k, p in leader.terms.items() if _is_dominant(k)),
+        )
     return out
+
+
+def _is_dominant(key):
+    """True for a weakly decreasing exponent tuple."""
+    return all(map(operator.ge, key, key[1:]))

@@ -266,7 +266,7 @@ def _read_char_json(path):
         raise ValueError("character JSON needs an integer 'rank'")
     if not isinstance(payload.get("terms"), list):
         raise ValueError("character JSON needs a list 'terms'")
-    terms = {}
+    terms = []
     for term in payload["terms"]:
         if not isinstance(term, dict):
             raise ValueError("each term must be an object")
@@ -275,7 +275,8 @@ def _read_char_json(path):
             if not isinstance(value, list) or not all(map(_is_json_int, value)):
                 raise ValueError("each term needs an integer list %r" % field)
         coeff = QPoly({i: c for i, c in enumerate(term["coefficient"])})
-        terms[tuple(term["exponents"])] = coeff
+        terms.append((term["exponents"], coeff))
+    # pairs, not a dict: the constructor adds up repeated exponents
     return GradedCharacter(n, terms)
 
 
@@ -511,6 +512,10 @@ def _cmd_verify(args):
         selected = sorted(_SUITES)
     elif args.suite in _SUITES:
         selected = [args.suite]
+        if args.max_mk is not None and _SUITES[args.suite][1] is None:
+            raise ValueError(
+                "suite %r has no m, k bound; --max-mk does not apply" % (args.suite,)
+            )
     else:
         raise ValueError(
             "unknown suite %r; use --list to see the choices" % (args.suite,)

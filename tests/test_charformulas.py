@@ -28,6 +28,7 @@ from weylchar import (
     qwhittaker_partition_char,
     tensor_char_fundamental,
     truncated_char,
+    weight_to_bounding_partition,
 )
 from weylchar.qalg import QFactorRatio
 
@@ -81,6 +82,16 @@ class TestGradedCharacter:
         assert not asym.is_symmetric()
         assert not missing.is_symmetric()
 
+    def test_cancelled_coefficients_leave_no_key(self):
+        a = GradedCharacter(1, {(1, 0): 1, (0, 1): 1})
+        b = GradedCharacter(1, {(1, 0): 1, (0, 1): -1})
+        # (x1 + x2)(x1 - x2) = x1^2 - x2^2: the x1 x2 coefficients cancel
+        assert (a * b).terms == {(2, 0): QPoly.one(), (0, 2): QPoly.const(-1)}
+        assert (a - a).terms == {}
+        assert (a + -a).terms == {}
+        assert (a * 0).terms == {}
+        assert (a + b).terms == {(1, 0): QPoly.const(2)}
+
     def test_specializations(self):
         ch = GradedCharacter(1, {(1, 1): QPoly({0: 1, 1: 1}), (2, 0): QPoly({1: 3})})
         assert ch.q1_dimension() == 5
@@ -115,6 +126,36 @@ class TestQWhittaker:
 
     def test_symmetric(self):
         assert qwhittaker_char(Weight(2, (2, 1))).is_symmetric()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_branching_matches_pop_oracle(self, data):
+        n = data.draw(st.integers(1, 4))
+        budget = {1: 6, 2: 4, 3: 3, 4: 3}[n]
+        lam = Weight(
+            n,
+            data.draw(
+                st.tuples(*(st.integers(0, budget) for _ in range(n))).filter(
+                    lambda c: sum(c) <= budget
+                )
+            ),
+        )
+        ch = qwhittaker_partition_char(weight_to_bounding_partition(lam), n)
+        assert ch == pop_char(lam)
+        assert ch.q1_dimension() == pop_count(lam)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_det_twist_invariance(self, data):
+        n = data.draw(st.integers(1, 3))
+        gaps = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        last = data.draw(st.integers(1, 3))
+        # row with n+1 positive parts: last, last + gaps[-1], ...
+        row = [last]
+        for gap in reversed(gaps):
+            row.insert(0, row[0] + gap)
+        base = qwhittaker_partition_char(Partition([r - last for r in row]), n)
+        assert qwhittaker_partition_char(Partition(row), n) == base.det_twist(last)
 
     @pytest.mark.parametrize(
         "coeffs,n",
@@ -379,6 +420,27 @@ class TestDecompose:
             f = f + qwhittaker_char(w) * p
         got = dict(decompose_weyl_basis(f))
         assert got == terms
+
+    def test_rank4_round_trip(self):
+        combo = {
+            Weight(4, (1, 0, 1, 0)): QPoly.one(),
+            Weight(4, (0, 1, 0, 1)): QPoly({0: 2, 3: -1}),
+            Weight(4, (0, 0, 1, 0)): QPoly({1: -3}),
+        }
+        f = GradedCharacter.zero(4)
+        for w, p in combo.items():
+            f = f + qwhittaker_char(w) * p
+        assert dict(decompose_weyl_basis(f)) == combo
+        product = char_multiply(
+            qwhittaker_char(Weight(4, (1, 0, 0, 1))),
+            qwhittaker_char(Weight(4, (0, 1, 0, 0))),
+        )
+        rebuilt = GradedCharacter.zero(4)
+        for w, p in decompose_weyl_basis(product):
+            shift, rem = divmod(product.total_degree() - w.size(), 5)
+            assert rem == 0
+            rebuilt = rebuilt + (qwhittaker_char(w) * p).det_twist(shift)
+        assert rebuilt == product
 
     def test_seeded_random_round_trip(self):
         rng = random.Random(20260814)

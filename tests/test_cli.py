@@ -155,6 +155,12 @@ class TestDecompose:
             {"rank": 2, "terms": [{"exponents": [0, 0, 0], "coefficient": [1.5]}]}
         )
 
+    def test_repeated_exponents_add_up(self):
+        term = {"exponents": [0, 0], "coefficient": [1]}
+        out = run_cli("decompose", stdin=json.dumps({"rank": 1, "terms": [term, term]}))
+        assert out.returncode == 0
+        assert out.stdout == "weight (0): 2\n"
+
 
 class TestVerify:
     def test_list(self):
@@ -190,6 +196,23 @@ class TestVerify:
     def test_unknown_suite(self):
         out = run_cli("verify", "--suite", "nope")
         assert out.returncode == 2
+
+    def test_max_mk_rejected_for_unbounded_suite(self):
+        out = run_cli("verify", "--suite", "pieri", "--max-mk", "1")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: ")
+        assert "'pieri'" in out.stderr
+
+    def test_max_mk_applies_to_bounded_suites_of_all(self):
+        out = run_cli("verify", "--suite", "all", "--max-mk", "1", "--format", "json")
+        assert out.returncode == 0
+        suites = json.loads(out.stdout)["suites"]
+        sizes = {name: len(reports) for name, reports in suites.items()}
+        assert sizes["tensor-fundamental"] == 24
+        assert sizes["truncated-product"] == 4
+        assert sizes["m-module-product"] == 16
+        assert sizes["pieri"] == 425
 
 
 class TestPlumbing:
