@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -249,3 +250,65 @@ class TestPlumbing:
         second = run_cli(*args)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+
+# `weylchar tensor --variant omega1_omega1 --m 1 --k 1 --rank 2 --format json`,
+# compacted: the fixed input of the decompose cases below
+TENSOR_JSON = (
+    '{"command":"tensor","k":1,"m":1,"q1_dimension":9,"rank":2,"terms":['
+    '{"coefficient":[1],"exponents":[0,0,2]},{"coefficient":[2],"exponents":[0,1,1]},'
+    '{"coefficient":[1],"exponents":[0,2,0]},{"coefficient":[2],"exponents":[1,0,1]},'
+    '{"coefficient":[2],"exponents":[1,1,0]},{"coefficient":[1],"exponents":[2,0,0]}],'
+    '"variant":"omega1_omega1"}'
+)
+
+GOLDEN_ARGS = {
+    "char": ("char", "--rank", "2", "--weight", "2,1"),
+    "dim": ("dim", "--rank", "3", "--weight", "2,0,1"),
+    "pops": ("pops", "--rank", "2", "--weight", "1,1"),
+    "pieri": ("pieri", "--partition", "2,1", "--m", "2", "--rank", "2"),
+    "tensor": (
+        "tensor", "--variant", "omega1_omegan", "--m", "1", "--k", "1", "--rank", "2",
+    ),
+    "decompose": ("decompose",),
+    "verify": ("verify", "--suite", "truncated-product", "--max-mk", "2"),
+}
+
+# sha256 of stdout for every subcommand and format
+GOLDEN_SHA256 = {
+    ("char", "plain"): "e075b42e43c313d167169287621d7d8ce859ed5755621ee5f311b325af79d9e8",
+    ("char", "json"): "432c21c2602d49cb8fe1e9e49ddf8b0fb449ec3aa4fd4eb5905298eff48f5f2d",
+    ("char", "csv"): "8f4f287d69fd1ccec0d7566eba93b3f059981e9b2f47fe20318bd81b79debd7d",
+    ("dim", "plain"): "913f5d1da2feaf4deeccc9e55cbb350a20f12b3f507e87be85dbb77fdd3cb9bc",
+    ("dim", "json"): "446d0b23a4e6252d2cee5e87e9a09725c64daa85d6d615290220a348da7b3da7",
+    ("dim", "csv"): "eaaab82afc459169f82f30679ee09a75a541ca62aec0bf8b0c273cc876d62905",
+    ("pops", "plain"): "a921e8a9d066440507eb279b75fb100e9f3a401b32dd15b9acabb367ec21e650",
+    ("pops", "json"): "9dd49d0d7ad74b3fea4581b37170b47bee3b813c40f703f56de923d98c25c310",
+    ("pops", "csv"): "a25d9653e6afd48f91e87da276e543a5e1a0ddfa50c17a7e8076ee3ef9912522",
+    ("pieri", "plain"): "b5215080d56e07635b2ec3e42abf09ae34cbf33ce77f107e7a65dc62e67c981a",
+    ("pieri", "json"): "fbcd840c5b6e4e0fad6e1411e3a1dea0c35f2a373ec2269c333b7db1c3be6e1a",
+    ("pieri", "csv"): "345c6a0536713b8190eb602c2471ad88b96babc6f9f001b7bbacb975c8697ca4",
+    ("tensor", "plain"): "f47a95b7d15db0f06a735d9fc370dc474b716086364f6a6edbe35243689f5a2c",
+    ("tensor", "json"): "41b7c7dbcaaf1ba9a18ee6381444baf6f7ba499a6bb96db2d01775c80378821a",
+    ("tensor", "csv"): "43372662335239b9cf4724330609b15be38af38c073b02074f672ac7f0585a51",
+    ("decompose", "plain"): "409598dcfb43beb5c2491563b165d20d2b11cc827d35140c2aacb05c7b50029d",
+    ("decompose", "json"): "8bee1b0614c41bd3f539c769bb01c169c8f1fa9d8ee94664fc585917422615c5",
+    ("decompose", "csv"): "abc02c8a836da11dc2cc56edafcb27d32105ba469eefbb9c76e5fe09516d80e1",
+    ("verify", "plain"): "f8ba595956ef209ccb54a2ab098aa164d37d5199bc564b995314046e913999c3",
+    ("verify", "json"): "cecd048f0e3cfa11371758f7136095d1409ea5b248c6d03def470cad0ec3a288",
+    ("verify", "csv"): "868b3f8d8e714697cdbdf77b82581f8babf141215f3e20b7ca09cd633aaa56e0",
+}
+
+
+@pytest.mark.parametrize(
+    "command, fmt", sorted(GOLDEN_SHA256), ids="-".join
+)
+def test_stdout_bytes_pinned(command, fmt):
+    stdin = TENSOR_JSON.encode() if command == "decompose" else None
+    out = subprocess.run(
+        [sys.executable, "-m", "weylchar", *GOLDEN_ARGS[command], "--format", fmt],
+        capture_output=True,
+        input=stdin,
+    )
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout).hexdigest() == GOLDEN_SHA256[command, fmt]
