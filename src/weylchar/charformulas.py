@@ -22,6 +22,8 @@ import itertools
 import math
 import operator
 from collections import Counter
+from collections.abc import Mapping
+from types import MappingProxyType
 
 from .gtpop import enumerate_gt, enumerate_pops, pattern_weight, pop_grade
 from .qalg import QFactorRatio, QPoly, q_binomial, q_pochhammer
@@ -42,8 +44,8 @@ class GradedCharacter:
     """Z[q]-combination of monomials x^e, e an (n+1)-tuple of exponents.
 
     `terms` maps each exponent tuple to a nonzero QPoly. Treat it as
-    read-only: a character built by the branching rule shares its dict with
-    the row memo.
+    read-only: a character built by the branching rule holds a read-only
+    view of the row memo's dict.
     """
 
     __slots__ = ("n", "terms")
@@ -53,7 +55,7 @@ class GradedCharacter:
             raise ValueError("rank must be a positive integer")
         data = {}
         if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
+            items = terms.items() if isinstance(terms, Mapping) else terms
             for key, poly in items:
                 key = tuple(int(e) for e in key)
                 if len(key) != n + 1:
@@ -269,7 +271,8 @@ def qwhittaker_partition_char(p, n):
 def _partition_char_cached(parts, n):
     if n < 1:
         raise ValueError("rank must be a positive integer")
-    return _wrap_char(n, _row_terms(Partition(parts).padded(n + 1)))
+    row = Partition(parts).padded(n + 1)
+    return _wrap_char(n, MappingProxyType(_row_terms(row)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -393,6 +396,8 @@ def pieri_gm(mu, m, rank):
     prod_{s in C} b_lam(s)/b_mu(s) over the cells C of lam lying in columns
     that meet the strip (factors outside a diagram are 1), reduced.
     """
+    if rank < 1:
+        raise ValueError("rank must be a positive integer")
     if not isinstance(mu, Partition):
         mu = Partition(mu)
     if m < 0:
@@ -432,7 +437,18 @@ def product_onerow(m, mu, rank):
     return out
 
 
-_TENSOR_VARIANTS = ("omega1_omegan", "omega1_omega1", "omegan_omegan")
+TENSOR_VARIANTS = ("omega1_omegan", "omega1_omega1", "omegan_omegan")
+
+
+def tensor_factors(variant, m, k, rank):
+    """The highest weights of the two factors that a tensor variant names."""
+    if variant == "omega1_omegan":
+        return m * Weight.fundamental(rank, 1), k * Weight.fundamental(rank, rank)
+    if variant == "omega1_omega1":
+        return m * Weight.fundamental(rank, 1), k * Weight.fundamental(rank, 1)
+    if variant == "omegan_omegan":
+        return m * Weight.fundamental(rank, rank), k * Weight.fundamental(rank, rank)
+    raise ValueError("unknown variant %r" % (variant,))
 
 
 def _tensor_term_weight(variant, n, m, k, i):
@@ -464,7 +480,7 @@ def tensor_char_fundamental(variant, m, k, rank):
     the product. At rank 1 the omega_2-direction of a contracted weight
     degenerates to determinant columns and drops out of the weight.
     """
-    if variant not in _TENSOR_VARIANTS:
+    if variant not in TENSOR_VARIANTS:
         raise ValueError("unknown variant %r" % (variant,))
     if m < 0 or k < 0:
         raise ValueError("module parameters must be nonnegative")

@@ -18,24 +18,23 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import sys
 
 from .charformulas import (
+    TENSOR_VARIANTS,
     DecompositionError,
     GradedCharacter,
     char_multiply,
     decompose_weyl_basis,
-    pop_char,
     product_onerow,
     qwhittaker_char,
-    qwhittaker_partition_char,
+    tensor_factors,
 )
 from .gtpop import basis_word, enumerate_pops, pop_count
-from .qalg import QPoly, q_binomial, q_pochhammer
+from .qalg import QPoly
+from .suites import SUITES, run as run_suite
 from .weights import Partition, Weight
-from . import filtration
 
 _FORMATS = ("plain", "json", "csv")
 
@@ -59,198 +58,132 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _json_text(payload):
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _render(args, payload, header, rows, lines):
+    """Write the one output format that --format selects.
 
-
-def _csv_text(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    payload, rows and lines are called without arguments, and only the one
+    the format needs: the JSON payload, the CSV rows under `header`, or the
+    plain lines. Returns exit code 0.
+    """
+    if args.format == "json":
+        text = json.dumps(payload(), indent=2, sort_keys=True) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows())
+        text = buf.getvalue()
+    else:
+        text = "\n".join(lines()) + "\n"
+    _emit(text, args.out)
+    return 0
 
 
 def _exp_str(key):
     return "(%s)" % ",".join(str(e) for e in key)
 
 
-def _char_payload(ch, extra=None):
-    payload = ch.to_json()
-    payload["q1_dimension"] = ch.q1_dimension()
-    if extra:
-        payload.update(extra)
-    return payload
-
-
-def _char_plain(ch, header_lines):
-    lines = list(header_lines)
-    lines.append("dimension(q=1): %d" % ch.q1_dimension())
-    for key in sorted(ch.terms):
-        lines.append("x^%s: %s" % (_exp_str(key), ch.terms[key]))
-    return "\n".join(lines) + "\n"
-
-
-def _char_csv(ch):
-    n = ch.n
-    header = ["x%d" % (i + 1) for i in range(n + 1)] + ["coefficient"]
-    rows = [list(key) + [str(ch.terms[key])] for key in sorted(ch.terms)]
-    return _csv_text(header, rows)
-
-
-def _render_char(ch, args, extra=None, header_lines=()):
-    if args.format == "json":
-        return _json_text(_char_payload(ch, extra))
-    if args.format == "csv":
-        return _char_csv(ch)
-    return _char_plain(ch, header_lines)
+def _render_character(args, ch, plain_head, extra):
+    """Render a character: its terms as JSON, one CSV row or plain line each."""
+    return _render(
+        args,
+        lambda: {**ch.to_json(), "q1_dimension": ch.q1_dimension(), **extra},
+        ["x%d" % (i + 1) for i in range(ch.n + 1)] + ["coefficient"],
+        lambda: ([*key, str(ch.terms[key])] for key in sorted(ch.terms)),
+        lambda: plain_head
+        + ["dimension(q=1): %d" % ch.q1_dimension()]
+        + ["x^%s: %s" % (_exp_str(key), ch.terms[key]) for key in sorted(ch.terms)],
+    )
 
 
 def _cmd_char(args):
     lam = _weight_arg(args)
-    ch = qwhittaker_char(lam)
-    header = [
-        "rank: %d" % lam.n,
-        "weight: %s" % ",".join(str(c) for c in lam.coeffs),
-    ]
-    _emit(
-        _render_char(
-            ch, args, {"command": "char", "weight": list(lam.coeffs)}, header
-        ),
-        args.out,
+    return _render_character(
+        args,
+        qwhittaker_char(lam),
+        ["rank: %d" % lam.n, "weight: %s" % ",".join(str(c) for c in lam.coeffs)],
+        {"command": "char", "weight": list(lam.coeffs)},
     )
-    return 0
 
 
 def _cmd_dim(args):
     lam = _weight_arg(args)
     dim = pop_count(lam)
-    if args.format == "json":
-        text = _json_text(
-            {
-                "command": "dim",
-                "rank": lam.n,
-                "weight": list(lam.coeffs),
-                "dimension": dim,
-            }
-        )
-    elif args.format == "csv":
-        text = _csv_text(["dimension"], [[dim]])
-    else:
-        text = "%d\n" % dim
-    _emit(text, args.out)
-    return 0
+    payload = {
+        "command": "dim", "rank": lam.n, "weight": list(lam.coeffs), "dimension": dim
+    }
+    return _render(
+        args, lambda: payload, ["dimension"], lambda: [[dim]], lambda: ["%d" % dim]
+    )
 
 
 def _cmd_pops(args):
     lam = _weight_arg(args)
-    entries = []
-    for pop in enumerate_pops(lam, lam.n):
-        record = pop.to_json()
-        word = basis_word(pop)
-        record["word"] = word.to_json()
-        entries.append((record, str(word)))
-    if args.format == "json":
-        text = _json_text(
-            {
-                "command": "pops",
-                "rank": lam.n,
-                "weight": list(lam.coeffs),
-                "count": len(entries),
-                "pops": [record for record, _ in entries],
-            }
-        )
-    elif args.format == "csv":
-        rows = [
-            [
+    entries = [(pop.to_json(), basis_word(pop)) for pop in enumerate_pops(lam, lam.n)]
+
+    def rows():
+        for record, word in entries:
+            yield (
                 json.dumps(record["pattern"]),
                 json.dumps(record["overlays"], sort_keys=True),
                 record["grade"],
                 json.dumps(record["weight"]),
-                word_str,
-            ]
-            for record, word_str in entries
-        ]
-        text = _csv_text(["pattern", "overlays", "grade", "weight", "word"], rows)
-    else:
-        lines = ["count: %d" % len(entries)]
-        for record, word_str in entries:
-            lines.append(
-                "pattern=%s overlays=%s grade=%d weight=%s word=%s"
-                % (
-                    json.dumps(record["pattern"]),
-                    json.dumps(record["overlays"], sort_keys=True),
-                    record["grade"],
-                    json.dumps(record["weight"]),
-                    word_str,
-                )
+                str(word),
             )
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
+
+    return _render(
+        args,
+        lambda: {
+            "command": "pops",
+            "rank": lam.n,
+            "weight": list(lam.coeffs),
+            "count": len(entries),
+            "pops": [{**record, "word": word.to_json()} for record, word in entries],
+        },
+        ["pattern", "overlays", "grade", "weight", "word"],
+        rows,
+        lambda: ["count: %d" % len(entries)]
+        + ["pattern=%s overlays=%s grade=%d weight=%s word=%s" % row for row in rows()],
+    )
 
 
 def _cmd_pieri(args):
     mu = Partition(_parse_int_tuple(args.partition, "--partition"))
     expansion = product_onerow(args.m, mu, args.rank)
-    if args.format == "json":
-        text = _json_text(
-            {
-                "command": "pieri",
-                "rank": args.rank,
-                "partition": list(mu.parts),
-                "m": args.m,
-                "terms": [
-                    {
-                        "partition": list(lam.parts),
-                        "coefficient": poly.coefficient_list(),
-                    }
-                    for lam, poly in expansion
-                ],
-            }
-        )
-    elif args.format == "csv":
-        rows = [
-            [json.dumps(list(lam.parts)), str(poly)] for lam, poly in expansion
-        ]
-        text = _csv_text(["partition", "coefficient"], rows)
-    else:
-        lines = [
+    return _render(
+        args,
+        lambda: {
+            "command": "pieri",
+            "rank": args.rank,
+            "partition": list(mu.parts),
+            "m": args.m,
+            "terms": [
+                {"partition": list(lam.parts), "coefficient": poly.coefficient_list()}
+                for lam, poly in expansion
+            ],
+        },
+        ["partition", "coefficient"],
+        lambda: ([json.dumps(list(lam.parts)), str(poly)] for lam, poly in expansion),
+        lambda: [
             "%s: %s" % (_exp_str(lam.padded(args.rank + 1)), poly)
             for lam, poly in expansion
-        ]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
-
-
-def _tensor_factors(variant, m, k, rank):
-    if variant == "omega1_omegan":
-        return m * Weight.fundamental(rank, 1), k * Weight.fundamental(rank, rank)
-    if variant == "omega1_omega1":
-        return m * Weight.fundamental(rank, 1), k * Weight.fundamental(rank, 1)
-    if variant == "omegan_omegan":
-        return m * Weight.fundamental(rank, rank), k * Weight.fundamental(rank, rank)
-    raise ValueError("unknown variant %r" % (variant,))
+        ],
+    )
 
 
 def _cmd_tensor(args):
-    a, b = _tensor_factors(args.variant, args.m, args.k, args.rank)
-    product = char_multiply(qwhittaker_char(a), qwhittaker_char(b))
-    header = [
-        "variant: %s" % args.variant,
-        "m: %d" % args.m,
-        "k: %d" % args.k,
-        "rank: %d" % args.rank,
-    ]
-    extra = {
-        "command": "tensor",
-        "variant": args.variant,
-        "m": args.m,
-        "k": args.k,
-    }
-    _emit(_render_char(product, args, extra, header), args.out)
-    return 0
+    a, b = tensor_factors(args.variant, args.m, args.k, args.rank)
+    return _render_character(
+        args,
+        char_multiply(qwhittaker_char(a), qwhittaker_char(b)),
+        [
+            "variant: %s" % args.variant,
+            "m: %d" % args.m,
+            "k: %d" % args.k,
+            "rank: %d" % args.rank,
+        ],
+        {"command": "tensor", "variant": args.variant, "m": args.m, "k": args.k},
+    )
 
 
 def _read_char_json(path):
@@ -287,291 +220,74 @@ def _is_json_int(value):
 def _cmd_decompose(args):
     ch = _read_char_json(getattr(args, "infile", None))
     components = decompose_weyl_basis(ch)
-    if args.format == "json":
-        text = _json_text(
-            {
-                "command": "decompose",
-                "rank": ch.n,
-                "components": [
-                    {
-                        "weight": list(w.coeffs),
-                        "coefficient": poly.coefficient_list(),
-                    }
-                    for w, poly in components
-                ],
-            }
-        )
-    elif args.format == "csv":
-        rows = [
-            [json.dumps(list(w.coeffs)), str(poly)] for w, poly in components
-        ]
-        text = _csv_text(["weight", "coefficient"], rows)
-    else:
-        lines = [
+    return _render(
+        args,
+        lambda: {
+            "command": "decompose",
+            "rank": ch.n,
+            "components": [
+                {"weight": list(w.coeffs), "coefficient": poly.coefficient_list()}
+                for w, poly in components
+            ],
+        },
+        ["weight", "coefficient"],
+        lambda: ([json.dumps(list(w.coeffs)), str(poly)] for w, poly in components),
+        lambda: [
             "weight %s: %s" % (_exp_str(w.coeffs), poly) for w, poly in components
-        ]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# verification suites
-
-
-def _suite_tensor_fundamental(bounds):
-    reports = []
-    for rank in (2, 3):
-        for variant in ("omega1_omegan", "omega1_omega1", "omegan_omegan"):
-            for m in range(bounds["max_mk"] + 1):
-                for k in range(bounds["max_mk"] + 1):
-                    reports.append(
-                        filtration.verify_tensor_fundamental(variant, m, k, rank)
-                    )
-    return reports
-
-
-def _suite_truncated_product(bounds):
-    limit = bounds["max_mk"]
-    return [
-        filtration.verify_truncated_product(m, k)
-        for m in range(limit + 1)
-        for k in range(limit + 1)
-    ]
-
-
-def _suite_m_module_product(bounds):
-    limit = bounds["max_mk"]
-    reports = []
-    for rank in (2, 3):
-        for variant in ("first", "last"):
-            for m in range(limit + 1):
-                for k in range(limit + 1):
-                    reports.append(
-                        filtration.verify_m_module_product(variant, m, k, rank)
-                    )
-    return reports
-
-
-def _suite_truncated_dim(bounds):
-    reports = []
-    for m1 in range(9):
-        for m2 in range(9 - m1):
-            lam = Weight(2, (m1, m2))
-            for j in range(min(m1, m2) + 1):
-                reports.append(filtration.truncated_dim_check(lam, j))
-    return reports
-
-
-def _suite_fusion(bounds):
-    return filtration.verify_fusion_recurrences(max_pairing=3, max_j=4)
-
-
-def _mk_report(name, params, ok):
-    return filtration.VerificationReport(name, params, "pass" if ok else "fail")
-
-
-def two_var_product(j):
-    """Coefficients of prod_{t=0}^{j-1} (x - q^t) as {x-power: QPoly}."""
-    coeffs = {0: QPoly.one()}
-    for t in range(j):
-        nxt = {}
-        for r, poly in coeffs.items():
-            nxt[r + 1] = nxt.get(r + 1, QPoly.zero()) + poly
-            nxt[r] = nxt.get(r, QPoly.zero()) - poly * QPoly.q(t)
-        coeffs = {r: p for r, p in nxt.items() if not p.is_zero()}
-    return coeffs
-
-
-def alternating_expansion(j):
-    """{r: (-1)^{j-r} [j r]_q q^{binom(j-r, 2)}}, the expanded form."""
-    out = {}
-    for r in range(j + 1):
-        sign = 1 if (j - r) % 2 == 0 else -1
-        exp = (j - r) * (j - r - 1) // 2
-        poly = q_binomial(j, r) * QPoly({exp: sign})
-        if not poly.is_zero():
-            out[r] = poly
-    return out
-
-
-def _suite_qbinomial(bounds):
-    reports = []
-    for j in range(13):
-        reports.append(
-            _mk_report(
-                "qbinomial-identity",
-                {"j": j, "form": "two-variable"},
-                two_var_product(j) == alternating_expansion(j),
-            )
-        )
-    for j in range(13):
-        for big_m in range(j, 21):
-            total = QPoly.zero()
-            for r in range(j + 1):
-                sign = 1 if r % 2 == 0 else -1
-                exp = r * (big_m - j + r) - r * (r - 1) // 2
-                total = total + q_binomial(j, r) * QPoly({exp: sign})
-            expected = q_binomial(big_m, j) * q_pochhammer(j)
-            reports.append(
-                _mk_report(
-                    "qbinomial-identity",
-                    {"j": j, "M": big_m, "form": "evaluated"},
-                    total == expected,
-                )
-            )
-    return reports
-
-
-def _small_weights(rank, max_sum):
-    """Dominant weights with coefficient sum <= max_sum, lexicographic."""
-    return [
-        Weight(rank, coeffs)
-        for coeffs in itertools.product(range(max_sum + 1), repeat=rank)
-        if sum(coeffs) <= max_sum
-    ]
-
-
-def _suite_oracle(bounds):
-    reports = []
-    for rank in (1, 2, 3):
-        for lam in _small_weights(rank, 4):
-            a = qwhittaker_char(lam)
-            b = pop_char(lam)
-            counted = pop_count(lam)
-            enumerated = sum(p.at_one() for p in b.terms.values())
-            ok = a == b and counted == enumerated
-            reports.append(
-                _mk_report(
-                    "oracle-equivalence",
-                    {"rank": rank, "weight": list(lam.coeffs)},
-                    ok,
-                )
-            )
-    return reports
-
-
-def _bounded_mus(max_rows, max_part):
-    def build(prefix, rows_left, cap):
-        if rows_left == 0:
-            yield Partition(prefix)
-            return
-        for p in range(1, cap + 1):
-            yield from build(prefix + (p,), rows_left - 1, p)
-
-    for length in range(max_rows + 1):
-        if length == 0:
-            yield Partition(())
-        else:
-            yield from build((), length, max_part)
-
-
-def _suite_pieri(bounds):
-    reports = []
-    for rank in (1, 2, 3):
-        max_rows = min(3, rank + 1)
-        for mu in _bounded_mus(max_rows, 4):
-            base = qwhittaker_partition_char(mu, rank)
-            for m in range(5):
-                brute = char_multiply(
-                    base, qwhittaker_partition_char(Partition((m,)), rank)
-                )
-                total = GradedCharacter.zero(rank)
-                for lam, poly in product_onerow(m, mu, rank):
-                    total = total + qwhittaker_partition_char(lam, rank) * poly
-                reports.append(
-                    _mk_report(
-                        "pieri",
-                        {"rank": rank, "mu": list(mu.parts), "m": m},
-                        brute == total,
-                    )
-                )
-    return reports
-
-
-_SUITES = {
-    "tensor-fundamental": (_suite_tensor_fundamental, 5),
-    "truncated-product": (_suite_truncated_product, 4),
-    "m-module-product": (_suite_m_module_product, 4),
-    "truncated-dim": (_suite_truncated_dim, None),
-    "fusion-recurrences": (_suite_fusion, None),
-    "qbinomial-identity": (_suite_qbinomial, None),
-    "oracle-equivalence": (_suite_oracle, None),
-    "pieri": (_suite_pieri, None),
-}
+        ],
+    )
 
 
 def _cmd_verify(args):
     if args.list:
-        names = sorted(_SUITES) + ["all"]
-        _emit("\n".join(names) + "\n", args.out)
+        _emit("\n".join(sorted(SUITES) + ["all"]) + "\n", args.out)
         return 0
     if args.suite is None:
         raise ValueError("verify needs --suite NAME or --list")
     if args.suite == "all":
-        selected = sorted(_SUITES)
-    elif args.suite in _SUITES:
-        selected = [args.suite]
-        if args.max_mk is not None and _SUITES[args.suite][1] is None:
-            raise ValueError(
-                "suite %r has no m, k bound; --max-mk does not apply" % (args.suite,)
-            )
-    else:
+        selected = sorted(SUITES)
+    elif args.suite not in SUITES:
         raise ValueError(
             "unknown suite %r; use --list to see the choices" % (args.suite,)
         )
-    all_reports = {}
-    for name in selected:
-        runner, default_mk = _SUITES[name]
-        bounds = {"max_mk": args.max_mk if args.max_mk is not None else default_mk}
-        all_reports[name] = runner(bounds)
-    counts = {"pass": 0, "fail": 0, "skip": 0}
-    for reports in all_reports.values():
-        for report in reports:
-            counts[report.status] += 1
-    if args.format == "json":
-        text = _json_text(
-            {
-                "command": "verify",
-                "suites": {
-                    name: [r.to_json() for r in reports]
-                    for name, reports in all_reports.items()
-                },
-                "summary": counts,
-            }
+    elif args.max_mk is not None and SUITES[args.suite][1] is None:
+        raise ValueError(
+            "suite %r has no m, k bound; --max-mk does not apply" % (args.suite,)
         )
-    elif args.format == "csv":
-        rows = []
-        for name, reports in all_reports.items():
-            for r in reports:
-                rows.append(
-                    [
-                        name,
-                        r.name,
-                        json.dumps(r.params, sort_keys=True),
-                        r.status,
-                        json.dumps(r.detail, sort_keys=True),
-                    ]
-                )
-        text = _csv_text(["suite", "identity", "params", "status", "detail"], rows)
     else:
-        lines = []
-        for name, reports in all_reports.items():
-            for r in reports:
-                lines.append(
-                    "%s %s %s"
-                    % (
-                        r.status.upper().ljust(4),
-                        r.name,
-                        json.dumps(r.params, sort_keys=True),
-                    )
-                )
-        lines.append(
-            "summary: pass=%d fail=%d skip=%d"
-            % (counts["pass"], counts["fail"], counts["skip"])
-        )
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+        selected = [args.suite]
+    results = {name: run_suite(name, args.max_mk) for name in selected}
+    reports = [(name, r) for name in selected for r in results[name]]
+    counts = {"pass": 0, "fail": 0, "skip": 0}
+    for _, r in reports:
+        counts[r.status] += 1
+    _render(
+        args,
+        lambda: {
+            "command": "verify",
+            "suites": {
+                name: [r.to_json() for r in rs] for name, rs in results.items()
+            },
+            "summary": counts,
+        },
+        ["suite", "identity", "params", "status", "detail"],
+        lambda: (
+            [
+                name,
+                r.name,
+                json.dumps(r.params, sort_keys=True),
+                r.status,
+                json.dumps(r.detail, sort_keys=True),
+            ]
+            for name, r in reports
+        ),
+        lambda: [
+            "%s %s %s"
+            % (r.status.upper().ljust(4), r.name, json.dumps(r.params, sort_keys=True))
+            for _, r in reports
+        ]
+        + ["summary: pass=%(pass)d fail=%(fail)d skip=%(skip)d" % counts],
+    )
     return 1 if counts["fail"] else 0
 
 
@@ -612,8 +328,7 @@ def _build_parser():
 
     p = sub.add_parser("tensor", help="brute product of two Weyl characters")
     common(p, rank=True)
-    p.add_argument("--variant", required=True,
-                   choices=("omega1_omegan", "omega1_omega1", "omegan_omegan"))
+    p.add_argument("--variant", required=True, choices=TENSOR_VARIANTS)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=_cmd_tensor)

@@ -19,6 +19,7 @@ from .charformulas import (
     qwhittaker_char,
     truncated_char,
     tensor_char_fundamental,
+    tensor_factors,
 )
 from .qalg import QPoly, q_binomial
 from .weights import Partition, Root, Weight, pairing
@@ -58,19 +59,9 @@ def _sl_equal(a, b):
     return a.sl_normalize() == b.sl_normalize()
 
 
-def _pair_weights(variant, m, k, rank):
-    if variant == "omega1_omegan":
-        return m * Weight.fundamental(rank, 1), k * Weight.fundamental(rank, rank)
-    if variant == "omega1_omega1":
-        return m * Weight.fundamental(rank, 1), k * Weight.fundamental(rank, 1)
-    if variant == "omegan_omegan":
-        return m * Weight.fundamental(rank, rank), k * Weight.fundamental(rank, rank)
-    raise ValueError("unknown variant %r" % (variant,))
-
-
 def verify_tensor_fundamental(variant, m, k, rank):
     """Closed tensor formula vs the brute product of graded Weyl characters."""
-    a, b = _pair_weights(variant, m, k, rank)
+    a, b = tensor_factors(variant, m, k, rank)
     product = char_multiply(qwhittaker_char(a), qwhittaker_char(b))
     closed = tensor_char_fundamental(variant, m, k, rank)
     ok = _sl_equal(product, closed)

@@ -6,34 +6,24 @@ tolerance zero. Timed criteria budget wall-clock seconds via time.monotonic.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 import subprocess
 import sys
 import time
+from collections import Counter
 
 from weylchar import (
     GradedCharacter,
-    Partition,
     QPoly,
-    Weight,
-    char_multiply,
     decompose_weyl_basis,
     enumerate_pops,
     irreducible_char,
-    pop_char,
     pop_count,
-    product_onerow,
-    q_binomial,
     qwhittaker_char,
-    qwhittaker_partition_char,
-    truncated_char,
-    verify_fusion_recurrences,
-    verify_m_module_product,
-    verify_tensor_fundamental,
-    verify_truncated_product,
 )
+from weylchar import suites
+from weylchar.suites import small_weights
 
 from test_gtpop import weyl_dimension
 
@@ -44,32 +34,16 @@ def _verdict(num, label, ok):
     assert ok, line
 
 
-def _weights(rank, max_sum):
-    return [
-        Weight(rank, coeffs)
-        for coeffs in itertools.product(range(max_sum + 1), repeat=rank)
-        if sum(coeffs) <= max_sum
-    ]
-
-
-def _bounded_mus(max_rows, max_part):
-    def build(prefix, rows_left, cap):
-        if rows_left == 0:
-            yield Partition(prefix)
-            return
-        for p in range(1, cap + 1):
-            yield from build(prefix + (p,), rows_left - 1, p)
-
-    yield Partition(())
-    for length in range(1, max_rows + 1):
-        yield from build((), length, max_part)
+def _statuses(name, max_mk=None):
+    """Status counts of a registry suite, e.g. {"pass": 55}."""
+    return Counter(report.status for report in suites.run(name, max_mk))
 
 
 def test_criterion_01_pop_count_formula():
     start = time.monotonic()
     ok = True
     for rank in (1, 2, 3):
-        for lam in _weights(rank, 4):
+        for lam in small_weights(rank, 4):
             enumerated = sum(1 for _ in enumerate_pops(lam, rank))
             formula = pop_count(lam)
             ok = ok and enumerated == formula
@@ -79,10 +53,7 @@ def test_criterion_01_pop_count_formula():
 
 def test_criterion_02_oracle_equivalence():
     start = time.monotonic()
-    ok = True
-    for rank in (1, 2, 3):
-        for lam in _weights(rank, 4):
-            ok = ok and qwhittaker_char(lam) == pop_char(lam)
+    ok = _statuses("oracle-equivalence") == {"pass": 55}
     elapsed = time.monotonic() - start
     _verdict(2, "character-oracle-equivalence (<30s)", ok and elapsed < 30.0)
 
@@ -90,7 +61,7 @@ def test_criterion_02_oracle_equivalence():
 def test_criterion_03_specializations():
     ok = True
     for rank in (1, 2, 3):
-        for lam in _weights(rank, 4):
+        for lam in small_weights(rank, 4):
             ch = qwhittaker_char(lam)
             irr = irreducible_char(lam)
             ok = ok and ch.specialize_q0() == irr
@@ -101,92 +72,51 @@ def test_criterion_03_specializations():
 
 def test_criterion_04_pieri_soundness():
     start = time.monotonic()
-    ok = True
-    for rank in (1, 2, 3):
-        for mu in _bounded_mus(min(3, rank + 1), 4):
-            base = qwhittaker_partition_char(mu, rank)
-            for m in range(5):
-                brute = char_multiply(
-                    base, qwhittaker_partition_char(Partition((m,)), rank)
-                )
-                expansion = GradedCharacter.zero(rank)
-                for lam, poly in product_onerow(m, mu, rank):
-                    expansion = expansion + qwhittaker_partition_char(lam, rank) * poly
-                ok = ok and brute == expansion
+    ok = _statuses("pieri") == {"pass": 425}
     elapsed = time.monotonic() - start
     _verdict(4, "pieri-expansion (<60s)", ok and elapsed < 60.0)
 
 
 def test_criterion_05_tensor_fundamental_closed_forms():
-    ok = True
-    for rank in (2, 3):
-        for variant in ("omega1_omegan", "omega1_omega1", "omegan_omegan"):
-            for m, k in itertools.product(range(6), repeat=2):
-                ok = ok and verify_tensor_fundamental(variant, m, k, rank).passed
+    ok = _statuses("tensor-fundamental", 5) == {"pass": 216}
     _verdict(5, "fundamental-line-tensor-closed-forms", ok)
 
 
 def test_criterion_06_qbinomial_identity():
     # prod_{t=0}^{j-1} (x - q^t) = sum_i (-1)^i q^{i(i-1)/2} [j i]_q x^{j-i},
-    # compared as polynomials in x with Z[q] coefficients
-    ok = True
-    for j in range(13):
-        product = {0: QPoly.one()}
-        for t in range(j):
-            nxt = {}
-            for deg, poly in product.items():
-                nxt[deg + 1] = nxt.get(deg + 1, QPoly.zero()) + poly
-                nxt[deg] = nxt.get(deg, QPoly.zero()) - poly * QPoly.q(t)
-            product = {d: p for d, p in nxt.items() if not p.is_zero()}
-        expansion = {}
-        for i in range(j + 1):
-            coeff = q_binomial(j, i) * QPoly.q(i * (i - 1) // 2)
-            if i % 2:
-                coeff = -coeff
-            expansion[j - i] = coeff
-        expansion = {d: p for d, p in expansion.items() if not p.is_zero()}
-        ok = ok and product == expansion
+    # compared as polynomials in x with Z[q] coefficients for j < 13; the
+    # suite's evaluated form of the identity runs alongside
+    reports = suites.run("qbinomial-identity")
+    two_variable = [r for r in reports if r.params["form"] == "two-variable"]
+    ok = len(two_variable) == 13
+    ok = ok and Counter(r.status for r in reports) == {"pass": 208}
     _verdict(6, "alternating-qbinomial-identity", ok)
 
 
 def test_criterion_07_truncated_product_filtration():
-    ok = True
-    for m, k in itertools.product(range(5), repeat=2):
-        ok = ok and verify_truncated_product(m, k).passed
+    ok = _statuses("truncated-product", 4) == {"pass": 25}
     _verdict(7, "truncated-module-product-filtration", ok)
 
 
 def test_criterion_08_m_module_product_filtration():
-    ok = True
-    for rank in (2, 3):
-        for variant in ("first", "last"):
-            for m, k in itertools.product(range(5), repeat=2):
-                ok = ok and verify_m_module_product(variant, m, k, rank).passed
+    ok = _statuses("m-module-product", 4) == {"pass": 100}
     _verdict(8, "interpolating-module-product-filtration", ok)
 
 
 def test_criterion_09_truncated_dimensions():
-    ok = True
-    for a in range(9):
-        for b in range(9 - a):
-            lam = Weight(2, (a, b))
-            for j in range(min(a, b) + 1):
-                dim = truncated_char(lam, j).q1_dimension()
-                ok = ok and dim == 8**j * 3 ** (a + b - 2 * j)
+    ok = _statuses("truncated-dim") == {"pass": 95}
     _verdict(9, "truncated-dimension-formula", ok)
 
 
 def test_criterion_10_fusion_dimension_recurrences():
-    reports = verify_fusion_recurrences(max_pairing=3, max_j=4)
-    checked = [r for r in reports if r.status != "skip"]
-    ok = bool(checked) and all(r.passed for r in checked)
+    ok = _statuses("fusion-recurrences") == {"pass": 1160, "skip": 120}
     _verdict(10, "fusion-dimension-recurrences", ok)
 
 
 def test_criterion_11_decompose_round_trip():
     rng = random.Random(20260814)
     ok = True
-    pools = {n: _weights(n, 3) for n in (1, 2, 3)}
+    pools = {n: small_weights(n, 3) for n in (1, 2, 3)}
     for _ in range(100):
         n = rng.randint(1, 3)
         pool = pools[n]

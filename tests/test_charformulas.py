@@ -127,6 +127,18 @@ class TestQWhittaker:
     def test_symmetric(self):
         assert qwhittaker_char(Weight(2, (2, 1))).is_symmetric()
 
+    def test_memoised_terms_are_read_only(self):
+        lam = Weight(2, (1, 1))
+        terms = qwhittaker_char(lam).terms
+        with pytest.raises(TypeError):
+            terms[x(0, 0, 0)] = QPoly.one()
+        with pytest.raises(AttributeError):
+            terms.clear()
+        again = qwhittaker_char(lam)
+        assert len(again.terms) == 7
+        assert again == pop_char(lam)
+        assert GradedCharacter(2, terms) == again
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_branching_matches_pop_oracle(self, data):

@@ -110,6 +110,12 @@ class TestPieri:
             [4, 1], [3, 2], [3, 1, 1], [2, 2, 1]
         ]
 
+    def test_rank_zero_is_usage_error(self):
+        out = run_cli("pieri", "--rank", "0", "--partition", "1", "--m", "1")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == "error: rank must be a positive integer\n"
+
 
 class TestDecompose:
     def test_pipe_round_trip(self):
@@ -204,6 +210,13 @@ class TestVerify:
         assert out.stdout == ""
         assert out.stderr.startswith("error: ")
         assert "'pieri'" in out.stderr
+
+    @pytest.mark.parametrize("suite", ["truncated-product", "all"])
+    def test_negative_max_mk_rejected(self, suite):
+        out = run_cli("verify", "--suite", suite, "--max-mk", "-1")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: ")
 
     def test_max_mk_applies_to_bounded_suites_of_all(self):
         out = run_cli("verify", "--suite", "all", "--max-mk", "1", "--format", "json")
@@ -301,7 +314,7 @@ GOLDEN_SHA256 = {
 
 
 @pytest.mark.parametrize(
-    "command, fmt", sorted(GOLDEN_SHA256), ids="-".join
+    "command, fmt", sorted(GOLDEN_SHA256), ids=["-".join(k) for k in sorted(GOLDEN_SHA256)]
 )
 def test_stdout_bytes_pinned(command, fmt):
     stdin = TENSOR_JSON.encode() if command == "decompose" else None
