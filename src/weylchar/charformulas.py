@@ -238,6 +238,32 @@ def _accumulate(data, items):
     return data
 
 
+def _homogeneous_sum(n, terms):
+    """Sum of coeff * ch over (ch, coeff) pairs of homogeneous characters.
+
+    Each term is det-twisted up to the total degree of the first nonzero
+    term; ArithmeticError when the gap is not a nonnegative multiple of n+1.
+    """
+    data = {}
+    degree = None
+    for ch, coeff in terms:
+        if not coeff or not ch.terms:
+            continue
+        own = sum(next(iter(ch.terms)))
+        if degree is None:
+            degree = own
+        shift, rem = divmod(degree - own, n + 1)
+        if rem or shift < 0:
+            raise ArithmeticError(
+                "a term of degree %d is no determinant twist below degree %d"
+                % (own, degree)
+            )
+        # Z[q] has no zero divisors, so no scaled coefficient vanishes
+        twisted = ch.det_twist(shift).terms.items()
+        _accumulate(data, ((k, p * coeff) for k, p in twisted))
+    return _wrap_char(n, data)
+
+
 def char_multiply(a, b):
     """Product of graded characters (monomial convolution)."""
     if not isinstance(a, GradedCharacter) or not isinstance(b, GradedCharacter):
@@ -484,21 +510,12 @@ def tensor_char_fundamental(variant, m, k, rank):
         raise ValueError("unknown variant %r" % (variant,))
     if m < 0 or k < 0:
         raise ValueError("module parameters must be nonnegative")
-    n = rank
-    base = _tensor_term_weight(variant, n, m, k, 0).size()
-    total = GradedCharacter.zero(n)
+    terms = []
     for i in range(min(m, k) + 1):
-        w = _tensor_term_weight(variant, n, m, k, i)
-        deficit = base - w.size()
-        shift, rem = divmod(deficit, n + 1)
-        if rem:
-            raise ArithmeticError(
-                "contracted weight %r is not a determinant twist of the product"
-                % (w,)
-            )
+        w = _tensor_term_weight(variant, rank, m, k, i)
         coeff = q_binomial(m, i) * q_binomial(k, i) * q_pochhammer(i)
-        total = total + (qwhittaker_char(w) * coeff).det_twist(shift)
-    return total
+        terms.append((qwhittaker_char(w), coeff))
+    return _homogeneous_sum(rank, terms)
 
 
 def truncated_char(lam, j):
@@ -517,13 +534,13 @@ def truncated_char(lam, j):
     size = m1 + m2
     if not 0 <= j <= min(m1, m2):
         raise ValueError("truncation parameter j must lie in [0, min(m_1, m_2)]")
-    total = GradedCharacter.zero(2)
+    terms = []
     for i in range(j + 1):
         w = Weight(2, (m1 - i, m2 - i))
         exp = i * (size - j) - i * (i - 1) // 2
         coeff = q_binomial(j, i) * QPoly({exp: 1 if i % 2 == 0 else -1})
-        total = total + (qwhittaker_char(w) * coeff).det_twist(i)
-    return total
+        terms.append((qwhittaker_char(w), coeff))
+    return _homogeneous_sum(2, terms)
 
 
 _M_MODULE_VARIANTS = ("first", "last")
@@ -558,21 +575,19 @@ def m_module_char(nu, lam_scale, variant):
     if any(c and (idx not in support) for idx, c in enumerate(nu.coeffs, start=1)):
         raise ValueError("nu must be supported on the %s two fundamentals"
                          % ("first" if variant == "first" else "last"))
-    total = GradedCharacter.zero(n)
+    terms = []
     for i in range(lam_scale + 1):
         c = [0] * n
         if variant == "first":
             c[0] = 2 * lam_scale + nu.coeffs[0] - 2 * i
             c[1] = nu.coeffs[1] + i
-            shift = 0
         else:
             c[n - 2] = nu.coeffs[n - 2] + i
             c[n - 1] = 2 * lam_scale + nu.coeffs[n - 1] - 2 * i
-            shift = i
         exp = i * (lam_scale + nu_edge) - i * (i - 1) // 2
         coeff = q_binomial(lam_scale, i) * QPoly({exp: 1 if i % 2 == 0 else -1})
-        total = total + (qwhittaker_char(Weight(n, c)) * coeff).det_twist(shift)
-    return total
+        terms.append((qwhittaker_char(Weight(n, c)), coeff))
+    return _homogeneous_sum(n, terms)
 
 
 def decompose_weyl_basis(f):

@@ -187,11 +187,14 @@ def _cmd_tensor(args):
 
 
 def _read_char_json(path):
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    else:
-        payload = json.load(sys.stdin)
+    try:
+        if path:
+            with open(path, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+        else:
+            payload = json.load(sys.stdin)
+    except RecursionError:
+        raise ValueError("character JSON is nested too deeply")
     if not isinstance(payload, dict):
         raise ValueError("character JSON must be an object")
     n = payload.get("rank")

@@ -97,10 +97,10 @@ def enumerate_gt(bounding, n):
         ranges = [
             range(lower[k + 1], lower[k] + 1) for k in range(len(lower) - 1)
         ]
+        # upper_k in [lower_{k+1}, lower_k] keeps every upper row weakly decreasing
         for upper in itertools.product(*ranges):
-            if all(upper[k] >= upper[k + 1] for k in range(len(upper) - 1)):
-                for stack in climb(upper):
-                    yield stack + (lower,)
+            for stack in climb(upper):
+                yield stack + (lower,)
 
     patterns = [GTPattern(stack) for stack in climb(bottom)]
     patterns.sort(key=lambda p: tuple(itertools.chain.from_iterable(p.rows)))

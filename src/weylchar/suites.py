@@ -15,7 +15,7 @@ import itertools
 
 from .charformulas import (
     TENSOR_VARIANTS,
-    GradedCharacter,
+    _homogeneous_sum,
     char_multiply,
     pop_char,
     product_onerow,
@@ -180,9 +180,11 @@ def _pieri():
                 brute = char_multiply(
                     base, qwhittaker_partition_char(Partition((m,)), rank)
                 )
-                total = GradedCharacter.zero(rank)
-                for lam, poly in product_onerow(m, mu, rank):
-                    total = total + qwhittaker_partition_char(lam, rank) * poly
+                terms = [
+                    (qwhittaker_partition_char(lam, rank), poly)
+                    for lam, poly in product_onerow(m, mu, rank)
+                ]
+                total = _homogeneous_sum(rank, terms)
                 reports.append(
                     _report(
                         "pieri",

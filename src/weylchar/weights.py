@@ -7,8 +7,6 @@ alpha_j for 1 <= i <= j <= n, with highest root theta = alpha_{1n}.
 
 from __future__ import annotations
 
-import itertools
-
 
 class RankMismatchError(ValueError):
     """Raised when objects of incompatible ranks are combined."""
@@ -257,13 +255,3 @@ def dominance_leq(p, r):
         if sp > sr:
             return False
     return True
-
-
-def dominant_weights_up_to(n, max_size):
-    """All dominant weights with size() <= max_size, lexicographic by coeffs."""
-    out = []
-    for coeffs in itertools.product(*(range(max_size + 1) for _ in range(n))):
-        w = Weight(n, coeffs)
-        if w.size() <= max_size:
-            out.append(w)
-    return out

@@ -30,6 +30,7 @@ from weylchar import (
     truncated_char,
     weight_to_bounding_partition,
 )
+from weylchar.charformulas import _homogeneous_sum
 from weylchar.qalg import QFactorRatio
 
 from test_gtpop import weyl_dimension
@@ -307,6 +308,25 @@ class TestTensorFundamental:
             )
             for variant in ("omega1_omegan", "omega1_omega1", "omegan_omegan"):
                 assert lhs == tensor_char_fundamental(variant, m, k, 1)
+
+
+class TestHomogeneousSum:
+    def test_twists_up_to_first_degree(self):
+        theta, trivial = qwhittaker_char(Weight(2, (1, 1))), GradedCharacter.one(2)
+        total = _homogeneous_sum(2, [(theta, QPoly.one()), (trivial, QPoly.q())])
+        assert total == theta + GradedCharacter(2, {(1, 1, 1): QPoly.q()})
+
+    def test_zero_coefficient_contributes_nothing(self):
+        ch = qwhittaker_char(Weight(2, (1, 0)))
+        assert _homogeneous_sum(2, [(ch, QPoly.zero())]).is_zero()
+        assert _homogeneous_sum(2, []).is_zero()
+
+    @pytest.mark.parametrize("second", [(1, 0), (2, 1)])
+    def test_gap_must_be_nonnegative_multiple(self, second):
+        # degrees 3 then 1 (a gap of 2), or 3 then 4 (a gap of -1)
+        terms = [(qwhittaker_char(Weight(2, w)), QPoly.one()) for w in ((1, 1), second)]
+        with pytest.raises(ArithmeticError):
+            _homogeneous_sum(2, terms)
 
 
 class TestTruncated:

@@ -168,6 +168,18 @@ class TestDecompose:
         assert out.returncode == 0
         assert out.stdout == "weight (0): 2\n"
 
+    def test_deep_nesting_is_input_error(self, tmp_path):
+        deep = "[" * 100000
+        target = tmp_path / "deep.json"
+        target.write_text(deep)
+        for out in (
+            run_cli("decompose", stdin=deep),
+            run_cli("decompose", "--in", str(target)),
+        ):
+            assert out.returncode == 2
+            assert out.stdout == ""
+            assert out.stderr == "error: character JSON is nested too deeply\n"
+
 
 class TestVerify:
     def test_list(self):

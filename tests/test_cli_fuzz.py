@@ -1,0 +1,153 @@
+"""Property tests of the CLI exit-code contract, in-process through `cli.run`.
+
+Whatever the arguments or the `decompose` input, `run` returns 0, 1 or 2 and
+never lets an exception escape (which the console script would print as a
+traceback). Ranks, weights and m, k stay small: there is no size guard yet,
+so a large input would only run long.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from unittest import mock
+
+from hypothesis import example, given, settings, strategies as st
+
+from weylchar import cli
+from weylchar.charformulas import TENSOR_VARIANTS
+
+JUNK = st.sampled_from(["", "x", "1,,2", "1.5", " 2", "-"])
+
+
+def _csv(values):
+    return ",".join(str(v) for v in values)
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str) | JUNK
+
+
+RANK = _ints(-1, 3)
+# coefficient sums stay <= 3, so no character, pattern set or product is large
+WEIGHT = st.lists(st.integers(-1, 2), max_size=4).filter(lambda xs: sum(xs) <= 3)
+PARTITION = st.lists(st.integers(-1, 3), max_size=4)
+COMMON = {
+    "--format": st.sampled_from(["plain", "json", "csv", "xml"]),
+    # a directory: opening it for writing fails, so nothing is written
+    "--out": st.just("."),
+}
+WEIGHTED = {**COMMON, "--rank": RANK, "--weight": WEIGHT.map(_csv) | JUNK}
+OPTIONS = {
+    "char": WEIGHTED,
+    "dim": WEIGHTED,
+    "pops": WEIGHTED,
+    "pieri": {
+        **COMMON,
+        "--rank": RANK,
+        "--partition": PARTITION.map(_csv) | JUNK,
+        "--m": _ints(-1, 3),
+    },
+    "tensor": {
+        **COMMON,
+        "--rank": RANK,
+        "--variant": st.sampled_from(TENSOR_VARIANTS + ("omega2_omega2",)),
+        "--m": _ints(-1, 3),
+        "--k": _ints(-1, 3),
+    },
+    "decompose": {**COMMON, "--in": st.sampled_from([".", "missing.json"])},
+    "verify": {
+        **COMMON,
+        # `all`, `pieri` and `oracle-equivalence` take seconds per run and are
+        # left to the acceptance gate
+        "--suite": st.sampled_from(
+            [
+                "truncated-product",
+                "m-module-product",
+                "tensor-fundamental",
+                "truncated-dim",
+                "fusion-recurrences",
+                "qbinomial-identity",
+                "no-such-suite",
+            ]
+        ),
+        "--list": st.none(),
+        "--max-mk": _ints(-1, 2),
+    },
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(OPTIONS) + ["frobnicate"]))
+    argv = [command]
+    for flag, values in OPTIONS.get(command, {}).items():
+        if draw(st.integers(0, 4)) == 0:  # leave the flag out now and then
+            continue
+        value = draw(values)
+        if value is None:
+            argv.append(flag)
+        elif draw(st.booleans()):
+            argv.append("%s=%s" % (flag, value))
+        else:
+            argv += [flag, value]
+    return argv + draw(st.sampled_from([[], [], [], ["--bogus"], ["-h"], ["extra"]]))
+
+
+def _run(argv, stdin=""):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch("sys.stdin", io.StringIO(stdin)))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        code = cli.run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_any_arguments_keep_the_exit_code_contract(argv):
+    _run(argv)
+
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=3)
+)
+KEYS = st.sampled_from(["rank", "terms", "exponents", "coefficient"])
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(KEYS | st.text(max_size=2), inner, max_size=4),
+    max_leaves=12,
+)
+# near-valid characters: small ranks, exponents and coefficients, so that most
+# payloads reach the symmetry check or the peel
+TERM = st.fixed_dictionaries(
+    {
+        "exponents": st.lists(st.integers(-1, 3), max_size=4),
+        "coefficient": st.lists(st.integers(-2, 2), max_size=3),
+    }
+)
+CHARACTERS = st.fixed_dictionaries(
+    {"rank": st.integers(-1, 3), "terms": st.lists(TERM, max_size=4)}
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    (JSON_VALUES | CHARACTERS).map(json.dumps) | st.text(max_size=8),
+    st.sampled_from(["plain", "json", "csv"]),
+)
+@example("[" * 100000, "plain")
+@example('{"rank": 1, "terms": ' + "[" * 100000, "plain")
+def test_any_decompose_input_keeps_the_exit_code_contract(payload, fmt):
+    code, out, err = _run(["decompose", "--format", fmt], stdin=payload)
+    if code == 2:
+        assert out == "" and err.startswith("error: ")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -8,6 +9,7 @@ from weylchar import (
     FiltrationLayer,
     Partition,
     QPoly,
+    RankMismatchError,
     Root,
     VerificationReport,
     Weight,
@@ -24,6 +26,7 @@ from weylchar import (
     verify_tensor_fundamental,
     verify_truncated_product,
 )
+from weylchar import filtration
 
 
 def w2(a, b):
@@ -108,6 +111,31 @@ class TestFiltrationLayers:
         assert blob["params"] == {"nu": [0, 1, 0], "lam_scale": 1}
         assert blob["multiplicity"] == q_binomial(2, 1).coefficient_list()
         assert blob["shift_bound"] == 1
+
+    @pytest.mark.parametrize("rank", [0, 1])
+    @pytest.mark.parametrize("variant", ["first", "last"])
+    def test_m_module_needs_rank_two(self, variant, rank):
+        with pytest.raises(RankMismatchError):
+            extract_filtration(2, 1, "m_module_" + variant, rank)
+        with pytest.raises(RankMismatchError):
+            verify_m_module_product(variant, 2, 1, rank)
+
+    @pytest.mark.parametrize(
+        "check",
+        [lambda: verify_truncated_product(2, 2),
+         lambda: verify_m_module_product("last", 2, 2, 3)],
+        ids=["truncated", "m_module_last"],
+    )
+    def test_checks_sum_the_published_layers(self, check, monkeypatch):
+        # a wrong multiplicity on one published layer must fail the check
+        def tampered(*args):
+            layers = extract_filtration(*args)
+            layers[-1] = dataclasses.replace(layers[-1], multiplicity=QPoly.const(2))
+            return layers
+
+        assert check().passed
+        monkeypatch.setattr(filtration, "extract_filtration", tampered)
+        assert not check().passed
 
     def test_unknown_layer_family(self):
         layer = FiltrationLayer("middle", 0, {}, QPoly.one(), 0)
