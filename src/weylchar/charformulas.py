@@ -30,8 +30,10 @@ from .qalg import QFactorRatio, QPoly, q_binomial, q_pochhammer
 from .weights import (
     Partition,
     RankMismatchError,
+    Root,
     Weight,
     partition_to_weight,
+    root_weight,
     weight_to_bounding_partition,
 )
 
@@ -466,81 +468,82 @@ def product_onerow(m, mu, rank):
 TENSOR_VARIANTS = ("omega1_omegan", "omega1_omega1", "omegan_omegan")
 
 
-def tensor_factors(variant, m, k, rank):
-    """The highest weights of the two factors that a tensor variant names."""
+def _tensor_edges(variant, rank):
+    """The fundamental indices (a, b), a <= b, of the two factors of a variant."""
     if variant == "omega1_omegan":
-        return m * Weight.fundamental(rank, 1), k * Weight.fundamental(rank, rank)
+        return 1, rank
     if variant == "omega1_omega1":
-        return m * Weight.fundamental(rank, 1), k * Weight.fundamental(rank, 1)
+        return 1, 1
     if variant == "omegan_omegan":
-        return m * Weight.fundamental(rank, rank), k * Weight.fundamental(rank, rank)
+        return rank, rank
     raise ValueError("unknown variant %r" % (variant,))
 
 
-def _tensor_term_weight(variant, n, m, k, i):
-    c = [0] * n
-    if variant == "omega1_omegan":
-        c[0] += m - i
-        c[n - 1] += k - i
-    elif variant == "omega1_omega1":
-        c[0] += m + k - 2 * i
-        if i and n >= 2:
-            c[1] += i
-    else:
-        c[n - 1] += m + k - 2 * i
-        if i and n >= 2:
-            c[n - 2] += i
-    return Weight(n, c)
+def tensor_factors(variant, m, k, rank):
+    """The highest weights of the two factors that a tensor variant names."""
+    a, b = _tensor_edges(variant, rank)
+    return m * Weight.fundamental(rank, a), k * Weight.fundamental(rank, b)
+
+
+def _root_string_sum(lam, beta, coeffs):
+    """Sum over i of coeffs[i] * ch W(lam - i*beta), det-twisted to one degree."""
+    return _homogeneous_sum(
+        lam.n,
+        ((qwhittaker_char(lam - i * beta), c) for i, c in enumerate(coeffs)),
+    )
+
+
+def _alternating_coeffs(j, e):
+    """(-1)^i [j i]_q q^{i*e - i(i-1)/2} for i = 0..j."""
+    return [
+        q_binomial(j, i) * QPoly({i * e - i * (i - 1) // 2: (-1) ** i})
+        for i in range(j + 1)
+    ]
 
 
 def tensor_char_fundamental(variant, m, k, rank):
     """Closed form for a tensor product of two one-parameter Weyl modules.
 
-    variant selects the pair of highest weights:
-      omega1_omegan: m*omega_1 with k*omega_n,
-      omega1_omega1: m*omega_1 with k*omega_1,
-      omegan_omegan: m*omega_n with k*omega_n.
-    The result is sum over i = 0..min(m, k) of
-    [m i]_q [k i]_q (q; q)_i times the graded Weyl character at the contracted
-    weight, each term det-twisted so all monomials share the total degree of
-    the product. At rank 1 the omega_2-direction of a contracted weight
-    degenerates to determinant columns and drops out of the weight.
+    variant selects the pair of highest weights m*omega_a and k*omega_b:
+      omega1_omegan: (a, b) = (1, n),
+      omega1_omega1: (a, b) = (1, 1),
+      omegan_omegan: (a, b) = (n, n).
+    The result is the sum over i = 0..min(m, k) of [m i]_q [k i]_q (q; q)_i
+    times the graded Weyl character at m*omega_a + k*omega_b - i*alpha_{ab},
+    each term det-twisted so all monomials share the total degree of the
+    product. At rank 1 every alpha_{ab} is 2*omega_1.
     """
-    if variant not in TENSOR_VARIANTS:
-        raise ValueError("unknown variant %r" % (variant,))
+    a, b = _tensor_edges(variant, rank)
     if m < 0 or k < 0:
         raise ValueError("module parameters must be nonnegative")
-    terms = []
-    for i in range(min(m, k) + 1):
-        w = _tensor_term_weight(variant, rank, m, k, i)
-        coeff = q_binomial(m, i) * q_binomial(k, i) * q_pochhammer(i)
-        terms.append((qwhittaker_char(w), coeff))
-    return _homogeneous_sum(rank, terms)
+    lam = m * Weight.fundamental(rank, a) + k * Weight.fundamental(rank, b)
+    coeffs = [
+        q_binomial(m, i) * q_binomial(k, i) * q_pochhammer(i)
+        for i in range(min(m, k) + 1)
+    ]
+    return _root_string_sum(lam, root_weight(Root(a, b), rank), coeffs)
 
 
 def truncated_char(lam, j):
-    """Graded character of the truncated module W_{|lam|-j}(lam), rank 2.
+    """Graded character of the truncated module W_{|lam|-j}(lam), rank n >= 2.
 
-    lam = m_1 omega_1 + m_2 omega_2 with |lam| = m_1 + m_2 and
-    0 <= j <= min(m_1, m_2). Alternating sum over i = 0..j of
+    lam = a omega_1 + b omega_n with |lam| = lam(h_theta) = a + b (not
+    lam.size()) and 0 <= j <= min(a, b). Alternating sum over i = 0..j of
     [j i]_q q^{i(|lam|-j) - i(i-1)/2} times the graded Weyl character at
-    lam - i*theta, det-twisted by i to keep a single total degree.
+    lam - i*theta, det-twisted to keep a single total degree.
     """
-    if lam.n != 2:
-        raise RankMismatchError("truncated characters are implemented for rank 2")
-    m1, m2 = lam.coeffs
-    if m1 < 0 or m2 < 0:
+    n = lam.n
+    if n < 2:
+        raise RankMismatchError("truncated characters require rank >= 2")
+    a, b = lam.coeffs[0], lam.coeffs[-1]
+    if any(lam.coeffs[1:-1]):
+        raise ValueError("the highest weight must be supported on omega_1, omega_n")
+    if a < 0 or b < 0:
         raise ValueError("the highest weight must be dominant")
-    size = m1 + m2
-    if not 0 <= j <= min(m1, m2):
-        raise ValueError("truncation parameter j must lie in [0, min(m_1, m_2)]")
-    terms = []
-    for i in range(j + 1):
-        w = Weight(2, (m1 - i, m2 - i))
-        exp = i * (size - j) - i * (i - 1) // 2
-        coeff = q_binomial(j, i) * QPoly({exp: 1 if i % 2 == 0 else -1})
-        terms.append((qwhittaker_char(w), coeff))
-    return _homogeneous_sum(2, terms)
+    if not 0 <= j <= min(a, b):
+        raise ValueError("truncation parameter j must lie in [0, min(a, b)]")
+    theta = root_weight(Root.highest(n), n)
+    return _root_string_sum(lam, theta, _alternating_coeffs(j, a + b - j))
 
 
 _M_MODULE_VARIANTS = ("first", "last")
@@ -549,13 +552,11 @@ _M_MODULE_VARIANTS = ("first", "last")
 def m_module_char(nu, lam_scale, variant):
     """Graded character of M(nu, lam) for a doubled fundamental lam.
 
-    variant "first": nu = nu_1 omega_1 + nu_2 omega_2 and
-    lam = 2*lam_scale*omega_1; alternating sum over i = 0..lam_scale of
-    [lam_scale i]_q q^{i(lam_scale+nu_1) - i(i-1)/2} times the graded Weyl
-    character at (2*lam_scale + nu_1 - 2i) omega_1 + (nu_2 + i) omega_2.
-    variant "last" is the mirror image: nu supported on omega_{n-1}, omega_n
-    and lam = 2*lam_scale*omega_n, with terms det-twisted by i to keep a
-    single total degree.
+    variant "first": e = 1, nu supported on omega_1, omega_2; "last":
+    e = n, nu supported on omega_{n-1}, omega_n. With lam = 2*lam_scale*omega_e
+    this is the alternating sum over i = 0..lam_scale of [lam_scale i]_q
+    q^{i(lam_scale+nu_e) - i(i-1)/2} times the graded Weyl character at
+    nu + lam - i*alpha_e, det-twisted to keep a single total degree.
     """
     if variant not in _M_MODULE_VARIANTS:
         raise ValueError("unknown variant %r" % (variant,))
@@ -566,28 +567,12 @@ def m_module_char(nu, lam_scale, variant):
         raise ValueError("lam_scale must be nonnegative")
     if not nu.is_dominant():
         raise ValueError("nu must be dominant")
-    if variant == "first":
-        support = {1, 2}
-        nu_edge = nu.coeffs[0]
-    else:
-        support = {n - 1, n}
-        nu_edge = nu.coeffs[n - 1]
-    if any(c and (idx not in support) for idx, c in enumerate(nu.coeffs, start=1)):
-        raise ValueError("nu must be supported on the %s two fundamentals"
-                         % ("first" if variant == "first" else "last"))
-    terms = []
-    for i in range(lam_scale + 1):
-        c = [0] * n
-        if variant == "first":
-            c[0] = 2 * lam_scale + nu.coeffs[0] - 2 * i
-            c[1] = nu.coeffs[1] + i
-        else:
-            c[n - 2] = nu.coeffs[n - 2] + i
-            c[n - 1] = 2 * lam_scale + nu.coeffs[n - 1] - 2 * i
-        exp = i * (lam_scale + nu_edge) - i * (i - 1) // 2
-        coeff = q_binomial(lam_scale, i) * QPoly({exp: 1 if i % 2 == 0 else -1})
-        terms.append((qwhittaker_char(Weight(n, c)), coeff))
-    return _homogeneous_sum(n, terms)
+    e, neighbour = (1, 2) if variant == "first" else (n, n - 1)
+    if any(c and idx not in (e, neighbour) for idx, c in enumerate(nu.coeffs, 1)):
+        raise ValueError("nu must be supported on the %s two fundamentals" % variant)
+    lam = nu + 2 * lam_scale * Weight.fundamental(n, e)
+    coeffs = _alternating_coeffs(lam_scale, lam_scale + nu.coeffs[e - 1])
+    return _root_string_sum(lam, root_weight(Root.simple(e), n), coeffs)
 
 
 def decompose_weyl_basis(f):

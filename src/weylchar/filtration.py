@@ -4,10 +4,12 @@ Every verify_* helper recomputes both sides of an identity from scratch
 (closed form vs brute-force product) and returns a VerificationReport;
 characters are compared with exact equality. extract_filtration is the one
 place that spells out the layer data of the graded filtrations of
-two-factor tensor products, and the filtration checks sum exactly those
-published layers (layer character times multiplicity, det-twisted to the
-product's total degree). The fusion-side functions check the rank-2
-dimension recurrences of the fusion modules M_j.
+two-factor tensor products at any rank n >= 2 (truncated modules for
+W(m omega_1) tensor W(k omega_n), M modules for the two squares), and the
+filtration checks sum exactly those published layers (layer character
+times multiplicity, det-twisted to the product's total degree). The
+fusion-side functions check the rank-2 dimension recurrences of the
+fusion modules M_j.
 """
 
 from __future__ import annotations
@@ -71,15 +73,15 @@ def verify_tensor_fundamental(variant, m, k, rank):
     )
 
 
-def verify_truncated_product(m, k):
-    """Rank-2 identity: W(m*omega_1) tensor W(k*omega_2) filters by truncations.
+def verify_truncated_product(m, k, rank):
+    """W(m*omega_1) tensor W(k*omega_n) filters by truncated modules.
 
-    ch of the product equals sum over i = 0..min(m,k) of [min(m,k) i]_q times
-    the truncated character of (m-i, k-i) at truncation level max(m,k)-i.
+    ch of the product equals the sum over i = 0..min(m,k) of
+    [min(m,k) i]_q times the truncated character of (m-i) omega_1 +
+    (k-i) omega_n at truncation level max(m,k)-i.
     """
-    return _verify_filtration(
-        "truncated-product", {"m": m, "k": k, "rank": 2}, "truncated", (1, 2)
-    )
+    params = {"m": m, "k": k, "rank": rank}
+    return _verify_filtration("truncated-product", params, "truncated", "omega1_omegan")
 
 
 def verify_m_module_product(variant, m, k, rank):
@@ -89,27 +91,23 @@ def verify_m_module_product(variant, m, k, rank):
     i = 0..min(m,k) of [min(m,k) i]_q ch M((M-L) omega_1 + i omega_2,
     2(L-i) omega_1); "last" is the omega_n mirror.
     """
-    if variant not in ("first", "last"):
-        raise ValueError("unknown variant %r" % (variant,))
-    edge = 1 if variant == "first" else rank
     return _verify_filtration(
         "m-module-product",
         {"variant": variant, "m": m, "k": k, "rank": rank},
         "m_module_" + variant,
-        (edge, edge),
+        "omega1_omega1" if variant == "first" else "omegan_omegan",
     )
 
 
-def _verify_filtration(name, params, family, edges):
-    """Brute product of W(m*omega_e1), W(k*omega_e2) vs its filtration layers.
+def _verify_filtration(name, params, family, tensor_variant):
+    """Brute product of the two factors of tensor_variant vs its layers.
 
     The layers are those extract_filtration publishes: each layer character
     times its multiplicity, det-twisted to the product's total degree.
     """
     m, k, rank = params["m"], params["k"], params["rank"]
     layers = extract_filtration(m, k, family, rank)
-    a = m * Weight.fundamental(rank, edges[0])
-    b = k * Weight.fundamental(rank, edges[1])
+    a, b = tensor_factors(tensor_variant, m, k, rank)
     product = char_multiply(qwhittaker_char(a), qwhittaker_char(b))
     total = _homogeneous_sum(
         rank, ((layer_character(layer, rank), layer.multiplicity) for layer in layers)
@@ -118,9 +116,14 @@ def _verify_filtration(name, params, family, edges):
 
 
 def truncated_dim_check(lam, j):
-    """Dimension of the rank-2 truncated module: 8^j * 3^{|lam| - 2j}."""
+    """Dimension of the truncated module: (n(n+2))^j (n+1)^{|lam| - 2j}.
+
+    n(n+2) is the dimension of the adjoint module and n+1 that of
+    V(omega_1) and V(omega_n); |lam| = lam(h_theta).
+    """
+    n = lam.n
     dim = truncated_char(lam, j).q1_dimension()
-    expected = 8**j * 3 ** (lam.coeffs[0] + lam.coeffs[1] - 2 * j)
+    expected = (n * (n + 2)) ** j * (n + 1) ** (pairing(lam, Root.highest(n)) - 2 * j)
     return _report(
         "truncated-dim",
         {"weight": list(lam.coeffs), "j": j},
@@ -157,9 +160,9 @@ class FiltrationLayer:
 def layer_character(layer, rank):
     """Graded character of a single (unshifted) layer module."""
     if layer.family == "truncated":
-        m1, m2 = layer.params["weight"]
-        w = Weight(2, (m1, m2))
-        return truncated_char(w, m1 + m2 - layer.params["truncation"])
+        w = Weight(rank, layer.params["weight"])
+        j = pairing(w, Root.highest(rank)) - layer.params["truncation"]
+        return truncated_char(w, j)
     if layer.family in ("m_module_first", "m_module_last"):
         variant = "first" if layer.family == "m_module_first" else "last"
         return m_module_char(
@@ -171,32 +174,35 @@ def layer_character(layer, rank):
 def extract_filtration(m, k, family, rank=2):
     """Layer data of the filtration of a two-line tensor product.
 
-    family "truncated": W(m*omega_1) tensor W(k*omega_2) at rank 2, layer r
-    is the truncated module W_{max(m,k)-r} at (m-r, k-r);
+    All families need rank n >= 2 and m, k >= 0; the weights are listed in
+    full, n coefficients each.
+    family "truncated": W(m*omega_1) tensor W(k*omega_n), layer r is the
+    truncated module W_{max(m,k)-r} at (m-r) omega_1 + (k-r) omega_n;
     family "m_module_first"/"m_module_last": W(m*omega_e) tensor W(k*omega_e)
     for e = 1 resp. n, layer r the module M((M-L) omega_e + r omega_e',
     2(L-r) omega_e) with e' the adjacent fundamental. Each layer carries
     multiplicity polynomial [min(m,k) r]_q, and its grade shifts are bounded
     by (min(m,k)-r)*r, the degree of that polynomial.
     """
-    if family == "truncated" and rank != 2:
-        raise ValueError("truncated filtrations are rank-2 only")
-    if family in ("m_module_first", "m_module_last") and rank < 2:
-        raise RankMismatchError("M-module filtrations require rank >= 2")
+    if family not in ("truncated", "m_module_first", "m_module_last"):
+        raise ValueError("unknown filtration family %r" % (family,))
+    if rank < 2:
+        raise RankMismatchError("tensor-product filtrations require rank >= 2")
+    if m < 0 or k < 0:
+        raise ValueError("module parameters must be nonnegative")
     big, small = max(m, k), min(m, k)
+    pad = [0] * (rank - 2)
     layers = []
     for r in range(small + 1):
-        mult = q_binomial(small, r)
-        bound = (small - r) * r
         if family == "truncated":
-            params = {"weight": [m - r, k - r], "truncation": big - r}
+            params = {"weight": [m - r] + pad + [k - r], "truncation": big - r}
         elif family == "m_module_first":
-            params = {"nu": [big - small, r] + [0] * (rank - 2), "lam_scale": small - r}
-        elif family == "m_module_last":
-            params = {"nu": [0] * (rank - 2) + [r, big - small], "lam_scale": small - r}
+            params = {"nu": [big - small, r] + pad, "lam_scale": small - r}
         else:
-            raise ValueError("unknown filtration family %r" % (family,))
-        layers.append(FiltrationLayer(family, r, params, mult, bound))
+            params = {"nu": pad + [r, big - small], "lam_scale": small - r}
+        layers.append(
+            FiltrationLayer(family, r, params, q_binomial(small, r), (small - r) * r)
+        )
     return layers
 
 

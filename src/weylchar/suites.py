@@ -98,7 +98,7 @@ def _tensor_fundamental(max_mk):
 
 def _truncated_product(max_mk):
     return [
-        verify_truncated_product(m, k)
+        verify_truncated_product(m, k, 2)
         for m in range(max_mk + 1)
         for k in range(max_mk + 1)
     ]

@@ -128,12 +128,21 @@ def pairing(lam, alpha):
     return sum(lam.coeffs[alpha.i - 1 : alpha.j])
 
 
-def theta_coeffs(n):
-    """theta as a Weight: omega_1 + omega_n (2*omega_1 when n = 1)."""
+def root_weight(alpha, n):
+    """alpha_{ij} as a Weight: omega_i + omega_j - omega_{i-1} - omega_{j+1}.
+
+    Indices outside 1..n drop out, so theta = omega_1 + omega_n and the
+    simple roots are the rows of the Cartan matrix; at rank 1 the one root
+    is 2*omega_1.
+    """
+    if alpha.j > n:
+        raise RankMismatchError("root alpha_{%d,%d} does not exist in rank %d"
+                                % (alpha.i, alpha.j, n))
     coeffs = [0] * n
-    coeffs[0] += 1
-    coeffs[n - 1] += 1
-    return Weight(n, tuple(coeffs))
+    for idx, sign in ((alpha.i, 1), (alpha.j, 1), (alpha.i - 1, -1), (alpha.j + 1, -1)):
+        if 1 <= idx <= n:
+            coeffs[idx - 1] += sign
+    return Weight(n, coeffs)
 
 
 class Partition:
@@ -231,27 +240,3 @@ def partition_to_weight(p, n):
         )
     padded = parts + (0,) * (n + 1 - len(parts))
     return Weight(n, tuple(padded[i] - padded[i + 1] for i in range(n)))
-
-
-def w0_dual(lam):
-    """-w_0(lam): reverses the fundamental-weight coefficients."""
-    return Weight(lam.n, tuple(reversed(lam.coeffs)))
-
-
-def dominance_leq(p, r):
-    """Dominance order on partitions of equal size: all partial sums compare."""
-    if isinstance(p, (tuple, list)):
-        p = Partition(p)
-    if isinstance(r, (tuple, list)):
-        r = Partition(r)
-    if p.size() != r.size():
-        raise ValueError("dominance order compares partitions of equal size")
-    length = max(p.length(), r.length())
-    pp, rr = p.padded(length), r.padded(length)
-    sp = sr = 0
-    for a, b in zip(pp, rr):
-        sp += a
-        sr += b
-        if sp > sr:
-            return False
-    return True

@@ -332,6 +332,9 @@ class TestHomogeneousSum:
 class TestTruncated:
     def test_rank_enforced(self):
         with pytest.raises(RankMismatchError):
+            truncated_char(Weight(1, (2,)), 0)
+        # the weight must lie on omega_1 and omega_n
+        with pytest.raises(ValueError):
             truncated_char(Weight(3, (1, 1, 1)), 0)
 
     def test_j_range(self):
@@ -341,8 +344,18 @@ class TestTruncated:
             truncated_char(Weight(2, (2, 1)), -1)
 
     def test_j0_is_local(self):
-        lam = Weight(2, (2, 1))
-        assert truncated_char(lam, 0) == qwhittaker_char(lam)
+        for lam in (Weight(2, (2, 1)), Weight(3, (2, 0, 1))):
+            assert truncated_char(lam, 0) == qwhittaker_char(lam)
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_coefficients_nonnegative(self, rank):
+        om1, omn = Weight.fundamental(rank, 1), Weight.fundamental(rank, rank)
+        for a, b in itertools.product(range(4), repeat=2):
+            for j in range(min(a, b) + 1):
+                ch = truncated_char(a * om1 + b * omn, j)
+                assert all(
+                    c >= 0 for poly in ch.terms.values() for c in poly.coefficient_list()
+                )
 
     def test_frozen_theta_example(self):
         # j = 1 at theta: ch W_loc(theta) - q * det

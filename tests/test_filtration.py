@@ -20,6 +20,7 @@ from weylchar import (
     pairing,
     q_binomial,
     qwhittaker_char,
+    truncated_char,
     truncated_dim_check,
     verify_fusion_recurrences,
     verify_m_module_product,
@@ -31,6 +32,10 @@ from weylchar import filtration
 
 def w2(a, b):
     return Weight(2, (a, b))
+
+
+def w3(a, b, c):
+    return Weight(3, (a, b, c))
 
 
 class TestVerificationReport:
@@ -58,8 +63,9 @@ class TestIdentityChecks:
                 assert verify_tensor_fundamental(variant, m, k, rank).passed
 
     def test_truncated_product(self):
-        for m, k in itertools.product(range(4), repeat=2):
-            assert verify_truncated_product(m, k).passed
+        for rank, bound in ((2, 3), (3, 3), (4, 2)):
+            for m, k in itertools.product(range(bound + 1), repeat=2):
+                assert verify_truncated_product(m, k, rank).passed
 
     @pytest.mark.parametrize("variant", ["first", "last"])
     @pytest.mark.parametrize("rank", [2, 3])
@@ -75,9 +81,15 @@ class TestIdentityChecks:
         rep = truncated_dim_check(w2(2, 1), 1)
         assert rep.passed
         assert rep.detail["dimension"] == 8 * 3
-        for a, b in itertools.product(range(4), repeat=2):
-            for j in range(min(a, b) + 1):
-                assert truncated_dim_check(w2(a, b), j).passed
+        for rank in (2, 3, 4):
+            om1, omn = Weight.fundamental(rank, 1), Weight.fundamental(rank, rank)
+            for a, b in itertools.product(range(4), repeat=2):
+                for j in range(min(a, b) + 1):
+                    rep = truncated_dim_check(a * om1 + b * omn, j)
+                    assert rep.passed
+                    assert rep.detail["dimension"] == (
+                        (rank * (rank + 2)) ** j * (rank + 1) ** (a + b - 2 * j)
+                    )
 
 
 class TestFiltrationLayers:
@@ -85,9 +97,24 @@ class TestFiltrationLayers:
         with pytest.raises(ValueError):
             extract_filtration(1, 1, "middle")
 
-    def test_truncated_rank2_only(self):
-        with pytest.raises(ValueError):
-            extract_filtration(1, 1, "truncated", rank=3)
+    def test_truncated_layers_at_rank_3(self):
+        layers = extract_filtration(2, 3, "truncated", rank=3)
+        assert [layer.params for layer in layers] == [
+            {"weight": [2 - r, 0, 3 - r], "truncation": 3 - r} for r in range(3)
+        ]
+        # layer r is W_{max(m,k)-r}((m-r) omega_1 + (k-r) omega_3): j = min - r
+        assert layer_character(layers[0], 3) == truncated_char(w3(2, 0, 3), 2)
+        assert layer_character(layers[2], 3) == qwhittaker_char(w3(0, 0, 1))
+
+    @pytest.mark.parametrize("family", ["truncated", "m_module_first", "m_module_last"])
+    def test_negative_parameters_rejected(self, family):
+        for m, k in ((-1, 2), (2, -1), (-1, -1)):
+            with pytest.raises(ValueError):
+                extract_filtration(m, k, family, rank=2)
+
+    def test_truncated_needs_rank_two(self):
+        with pytest.raises(RankMismatchError):
+            extract_filtration(1, 1, "truncated", rank=1)
 
     def test_layer_data(self):
         layers = extract_filtration(3, 2, "truncated")
@@ -122,7 +149,7 @@ class TestFiltrationLayers:
 
     @pytest.mark.parametrize(
         "check",
-        [lambda: verify_truncated_product(2, 2),
+        [lambda: verify_truncated_product(2, 2, 2),
          lambda: verify_m_module_product("last", 2, 2, 3)],
         ids=["truncated", "m_module_last"],
     )
@@ -145,13 +172,13 @@ class TestFiltrationLayers:
     @pytest.mark.parametrize(
         "family,rank", [("truncated", 2), ("m_module_first", 2),
                         ("m_module_last", 2), ("m_module_first", 3),
-                        ("m_module_last", 3)],
+                        ("m_module_last", 3), ("truncated", 3)],
     )
     def test_layer_dimensions_sum_to_product(self, family, rank):
         # det twists do not move q = 1 dimensions, so the layer dimensions
         # weighted by multiplicity(1) must add up to the tensor product
         if family == "truncated":
-            e1, e2 = 1, 2
+            e1, e2 = 1, rank
         elif family == "m_module_first":
             e1 = e2 = 1
         else:
