@@ -26,7 +26,7 @@ from collections.abc import Mapping
 from types import MappingProxyType
 
 from .gtpop import enumerate_gt, enumerate_pops, pattern_weight, pop_grade
-from .qalg import QFactorRatio, QPoly, q_binomial, q_pochhammer
+from .qalg import QPoly, q_binomial, q_pochhammer
 from .weights import (
     Partition,
     RankMismatchError,
@@ -59,7 +59,7 @@ class GradedCharacter:
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for key, poly in items:
-                key = tuple(int(e) for e in key)
+                key = tuple(map(operator.index, key))
                 if len(key) != n + 1:
                     raise RankMismatchError(
                         "rank %d character needs %d exponents per term" % (n, n + 1)
@@ -368,31 +368,6 @@ def irreducible_char(lam):
     return GradedCharacter(lam.n, data)
 
 
-def arm_leg(p, cell):
-    """(arm, leg) of a cell (row, column), 1-based, inside the diagram."""
-    i, j = cell
-    if not p.contains_cell(i, j):
-        raise ValueError("cell (%d, %d) lies outside the diagram" % (i, j))
-    arm = p.part(i) - j
-    leg = sum(1 for row in p.parts if row >= j) - i
-    return arm, leg
-
-
-def b_factor_t0(p, cell):
-    """Normalization factor of a cell at t = 0, as a symbolic ratio.
-
-    Inside the diagram the factor is 1/(1 - q^{arm+1}) when the leg is zero
-    and 1 otherwise; outside the diagram it is 1.
-    """
-    i, j = cell
-    if not p.contains_cell(i, j):
-        return QFactorRatio.identity()
-    arm, leg = arm_leg(p, cell)
-    if leg == 0:
-        return QFactorRatio(den=(arm + 1,))
-    return QFactorRatio.identity()
-
-
 def _horizontal_strips(mu_padded, m):
     """Rows lam >= mu with lam/mu a horizontal strip of m boxes.
 
@@ -416,13 +391,16 @@ def _horizontal_strips(mu_padded, m):
     yield from rec(0, m)
 
 
-def pieri_gm(mu, m, rank):
-    """Pieri expansion data for multiplying by the m-th generator g_m.
+def product_onerow(m, mu, rank):
+    """Coefficients of P_mu * P_{(m)} in the P basis, as exact polynomials.
 
-    Returns [(lam, ratio)] over all lam in n+1 rows with lam/mu a horizontal
-    m-strip, in descending lexicographic order of lam. The ratio is
-    prod_{s in C} b_lam(s)/b_mu(s) over the cells C of lam lying in columns
-    that meet the strip (factors outside a diagram are 1), reduced.
+    Returns [(lam, coeff)] over all lam in rank+1 rows with lam/mu a
+    horizontal m-strip, in descending lexicographic order of lam. The Pieri
+    coefficient (Macdonald, *Symmetric Functions and Hall Polynomials*, 2nd
+    ed., Ch. VI (6.24)) is (q; q)_m phi_{lam/mu} at t = 0, which with
+    a = lam_1 - mu_1 is
+
+        [m a]_q (q; q)_{m-a} prod_{i=2}^{rank+1} [mu_{i-1} - mu_i  lam_i - mu_i]_q.
     """
     if rank < 1:
         raise ValueError("rank must be a positive integer")
@@ -438,30 +416,11 @@ def pieri_gm(mu, m, rank):
     mu_p = mu.padded(rows)
     out = []
     for lam in _horizontal_strips(mu_p, m):
-        strip_cols = {
-            j for i in range(rows) for j in range(mu_p[i] + 1, lam[i] + 1)
-        }
-        ratio = QFactorRatio.identity()
-        lam_part = Partition(lam)
-        for j in sorted(strip_cols):
-            for i in range(1, rows + 1):
-                if lam_part.contains_cell(i, j):
-                    ratio = ratio * b_factor_t0(lam_part, (i, j))
-                    ratio = ratio / b_factor_t0(mu, (i, j))
-        out.append((lam_part, ratio.reduce()))
-    return out
-
-
-def product_onerow(m, mu, rank):
-    """Coefficients of P_mu * P_{(m)} in the P basis, as exact polynomials.
-
-    P_{(m)} = (q; q)_m g_m, so each Pieri ratio is multiplied by (q; q)_m;
-    the spectral normalization guarantees the quotients are polynomials.
-    """
-    poch = QFactorRatio(num=range(1, m + 1))
-    out = []
-    for lam, ratio in pieri_gm(mu, m, rank):
-        out.append((lam, (poch * ratio).reduce().to_qpoly()))
+        a = lam[0] - mu_p[0]
+        coeff = q_binomial(m, a) * q_pochhammer(m - a)
+        for i in range(1, rows):
+            coeff = coeff * q_binomial(mu_p[i - 1] - mu_p[i], lam[i] - mu_p[i])
+        out.append((Partition(lam), coeff))
     return out
 
 

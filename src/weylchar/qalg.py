@@ -12,10 +12,6 @@ exact: w is a whole number of bytes with 2^(w-1) above the bound
 max|a| * max|b| * min(len a, len b) on every product coefficient, and a bias
 of 2^(w-1) in every slot lets negative coefficients pack and unpack without
 borrows (see _mul_kronecker).
-
-QFactorRatio tracks signed monomial multiples of products/quotients of
-cyclotomic-style factors (1 - q^k) symbolically, so quotients stay exact until
-they are proven to be polynomials.
 """
 
 from __future__ import annotations
@@ -23,9 +19,8 @@ from __future__ import annotations
 import functools
 import sys
 from array import array
-from collections import Counter
 from itertools import repeat
-from operator import add, mul
+from operator import add, index, mul
 
 # Shortest operand length at which a product switches from schoolbook
 # convolution to Kronecker substitution. On a 2-core x86-64 Xeon VM under
@@ -38,7 +33,7 @@ _ORDER = sys.byteorder
 
 
 class IntegralityError(ArithmeticError):
-    """Raised when a symbolic quotient fails to be a polynomial over Z."""
+    """Raised when an exact division in Z[q] leaves a remainder."""
 
 
 def _trim(coeffs):
@@ -127,7 +122,8 @@ class QPoly:
 
     ``coeffs`` is the tuple (c_0, ..., c_deg) with no trailing zeros. The
     constructor takes a dict {exponent: coefficient} or (exponent,
-    coefficient) pairs; repeated exponents add up.
+    coefficient) pairs of integers; repeated exponents add up. A float
+    exponent or coefficient raises TypeError instead of being truncated.
     """
 
     __slots__ = ("coeffs",)
@@ -136,7 +132,7 @@ class QPoly:
         data = {}
         if coeffs:
             for k, c in coeffs.items() if isinstance(coeffs, dict) else coeffs:
-                k, c = int(k), int(c)
+                k, c = index(k), index(c)
                 if k < 0:
                     raise ValueError("exponents must be nonnegative")
                 if c:
@@ -196,6 +192,9 @@ class QPoly:
         return isinstance(other, QPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant hashes as the int it equals, as __eq__ requires
+        if len(self.coeffs) <= 1:
+            return hash(self.constant_term())
         return hash(self.coeffs)
 
     def __neg__(self):
@@ -223,6 +222,8 @@ class QPoly:
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
         return QPoly.const(other) - self
 
     def __mul__(self, other):
@@ -362,115 +363,3 @@ def grade_shift(p, s):
     if not isinstance(p, QPoly):
         raise TypeError("grade_shift expects a QPoly")
     return _wrap((0,) * s + p.coeffs if p.coeffs else ())
-
-
-class QFactorRatio:
-    """Symbolic sign * q^power * prod(1-q^a) / prod(1-q^b).
-
-    num and den are multisets of positive integers k standing for factors
-    (1 - q^k). Products stay symbolic; to_qpoly performs the division and
-    insists the result is an honest polynomial.
-    """
-
-    __slots__ = ("sign", "qpower", "num", "den")
-
-    def __init__(self, num=(), den=(), sign=1, qpower=0):
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if qpower < 0:
-            raise ValueError("qpower must be nonnegative")
-        num = self._multiset(num)
-        den = self._multiset(den)
-        if any(k < 1 for k in num) or any(k < 1 for k in den):
-            raise ValueError("factor indices must be positive")
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "qpower", int(qpower))
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    @staticmethod
-    def _multiset(source):
-        # a dict/Counter carries multiplicities; a plain iterable lists factors
-        if isinstance(source, dict):
-            out = Counter()
-            for k, v in source.items():
-                k, v = int(k), int(v)
-                if v < 0:
-                    raise ValueError("factor multiplicities must be nonnegative")
-                if v:
-                    out[k] = v
-            return out
-        return Counter(int(k) for k in source)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QFactorRatio is immutable")
-
-    @classmethod
-    def identity(cls):
-        return cls()
-
-    def __mul__(self, other):
-        if not isinstance(other, QFactorRatio):
-            return NotImplemented
-        return QFactorRatio(
-            self.num + other.num,
-            self.den + other.den,
-            self.sign * other.sign,
-            self.qpower + other.qpower,
-        )
-
-    def __truediv__(self, other):
-        if not isinstance(other, QFactorRatio):
-            return NotImplemented
-        if other.qpower:
-            raise ValueError("cannot divide by a ratio carrying a q-power")
-        return QFactorRatio(
-            self.num + other.den,
-            self.den + other.num,
-            self.sign * other.sign,
-            self.qpower,
-        )
-
-    def reduce(self):
-        """Cancel common (1-q^k) factors; idempotent."""
-        common = self.num & self.den
-        return QFactorRatio(
-            self.num - common, self.den - common, self.sign, self.qpower
-        )
-
-    def to_qpoly(self):
-        """Evaluate as an element of Z[q]; IntegralityError if not polynomial."""
-        r = self.reduce()
-        out = QPoly({r.qpower: r.sign})
-        for k, mult in sorted(r.num.items()):
-            for _ in range(mult):
-                out = out * one_minus_q(k)
-        for k, mult in sorted(r.den.items()):
-            for _ in range(mult):
-                out = out.divide_exact(one_minus_q(k))
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, QFactorRatio):
-            return NotImplemented
-        a, b = self.reduce(), other.reduce()
-        return (
-            a.sign == b.sign
-            and a.qpower == b.qpower
-            and a.num == b.num
-            and a.den == b.den
-        )
-
-    def __hash__(self):
-        r = self.reduce()
-        return hash(
-            (r.sign, r.qpower, frozenset(r.num.items()), frozenset(r.den.items()))
-        )
-
-    def __repr__(self):
-        return "QFactorRatio(num=%r, den=%r, sign=%d, qpower=%d)" % (
-            sorted(self.num.elements()),
-            sorted(self.den.elements()),
-            self.sign,
-            self.qpower,
-        )

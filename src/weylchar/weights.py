@@ -169,12 +169,6 @@ class Partition:
     def length(self):
         return len(self.parts)
 
-    def part(self, i):
-        """i-th part, 1-based; zero beyond the length."""
-        if i < 1:
-            raise ValueError("part index is 1-based")
-        return self.parts[i - 1] if i <= len(self.parts) else 0
-
     def padded(self, length):
         if length < len(self.parts):
             raise ValueError("cannot pad below the partition length")
@@ -189,10 +183,6 @@ class Partition:
                 for j in range(1, self.parts[0] + 1)
             )
         )
-
-    def contains_cell(self, i, j):
-        """True when (row i, column j), 1-based, lies in the diagram."""
-        return 1 <= i <= len(self.parts) and 1 <= j <= self.parts[i - 1]
 
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts

@@ -13,13 +13,10 @@ from weylchar import (
     QPoly,
     RankMismatchError,
     Weight,
-    arm_leg,
-    b_factor_t0,
     char_multiply,
     decompose_weyl_basis,
     irreducible_char,
     m_module_char,
-    pieri_gm,
     pop_char,
     pop_count,
     product_onerow,
@@ -31,7 +28,6 @@ from weylchar import (
     weight_to_bounding_partition,
 )
 from weylchar.charformulas import _homogeneous_sum
-from weylchar.qalg import QFactorRatio
 
 from test_gtpop import weyl_dimension
 
@@ -50,6 +46,10 @@ class TestGradedCharacter:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             GradedCharacter(1, {(-1, 0): 1})
+
+    def test_float_exponent_rejected(self):
+        with pytest.raises(TypeError):
+            GradedCharacter(1, {(1.5, 0): 1})
 
     def test_zero_terms_dropped(self):
         ch = GradedCharacter(1, {(1, 0): QPoly.zero(), (0, 1): 2})
@@ -197,28 +197,6 @@ class TestQWhittaker:
         assert irr.q1_dimension() == weyl_dimension(lam)
 
 
-class TestArmLeg:
-    def test_values(self):
-        p = Partition((4, 3, 1))
-        assert arm_leg(p, (1, 1)) == (3, 2)
-        assert arm_leg(p, (2, 3)) == (0, 0)
-        assert arm_leg(p, (1, 4)) == (0, 0)
-        assert arm_leg(p, (3, 1)) == (0, 0)
-
-    def test_outside_rejected(self):
-        with pytest.raises(ValueError):
-            arm_leg(Partition((2,)), (2, 1))
-
-    def test_b_factor(self):
-        p = Partition((4, 3, 1))
-        # leg 0 cells give 1/(1 - q^{arm+1})
-        assert b_factor_t0(p, (2, 3)) == QFactorRatio(den=(1,))
-        assert b_factor_t0(p, (1, 4)) == QFactorRatio(den=(1,))
-        # leg > 0 cells and cells outside the diagram give 1
-        assert b_factor_t0(p, (1, 1)) == QFactorRatio.identity()
-        assert b_factor_t0(p, (3, 3)) == QFactorRatio.identity()
-
-
 class TestPieri:
     def test_empty_mu(self):
         # P_(m) itself: phi = 1/(q;q)_m, so product_onerow gives 1
@@ -241,7 +219,7 @@ class TestPieri:
         }
 
     def test_strip_order_descending(self):
-        lams = [lam.padded(3) for lam, _ in pieri_gm(Partition((2, 1)), 2, 2)]
+        lams = [lam.padded(3) for lam, _ in product_onerow(2, Partition((2, 1)), 2)]
         assert lams == sorted(lams, reverse=True)
 
     def test_rectangle_coefficients(self):
@@ -261,12 +239,20 @@ class TestPieri:
 
     def test_too_many_rows(self):
         with pytest.raises(RankMismatchError):
-            pieri_gm(Partition((1, 1, 1)), 1, 1)
+            product_onerow(1, Partition((1, 1, 1)), 1)
 
-    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     def test_brute_product(self, rank, m):
         mus = [Partition(p) for p in [(), (1,), (2,), (2, 1), (3, 1)]]
+        if rank >= 3:
+            # every row of mu nonzero, parts <= 3: a gap of 2 between rows
+            # i-1 and i makes the row-i factor of the coefficient a
+            # nontrivial q-binomial, for every i up to rank+1
+            mus += [
+                Partition(p)
+                for p in itertools.combinations_with_replacement((3, 2, 1), rank + 1)
+            ]
         row = qwhittaker_partition_char(Partition((m,)), rank)
         for mu in mus:
             if mu.length() > rank + 1:

@@ -19,6 +19,19 @@ def run_cli(*args, stdin=None):
     )
 
 
+def test_import_is_cold():
+    # a fresh `import weylchar` computes no q-binomial and leaves the suites
+    # unloaded, so timings that start after the import see cold caches
+    probe = (
+        "import sys, weylchar; "
+        "print(weylchar.q_binomial.cache_info().currsize, "
+        "'weylchar.suites' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "0 False\n"
+
+
 class TestDim:
     def test_frozen_value(self):
         out = run_cli("dim", "--rank", "3", "--weight", "2,0,1")

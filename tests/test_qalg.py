@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from weylchar import (
     IntegralityError,
-    QFactorRatio,
     QPoly,
     grade_shift,
     one_minus_q,
@@ -26,6 +25,24 @@ class TestQPoly:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             QPoly({-1: 1})
+
+    @pytest.mark.parametrize("coeffs", [{0: 1.5}, {1.7: 2}, [(1, 2.0)]])
+    def test_float_rejected(self, coeffs):
+        with pytest.raises(TypeError):
+            QPoly(coeffs)
+
+    def test_float_operand_rejected(self):
+        p = QPoly({0: 1, 1: 1})
+        for op in (lambda: 3.5 - p, lambda: p - 3.5, lambda: 3.5 + p):
+            with pytest.raises(TypeError):
+                op()
+        assert 3 - p == QPoly({0: 2, 1: -1})
+
+    @pytest.mark.parametrize("c", [0, 5, -2])
+    def test_constant_hashes_as_int(self, c):
+        assert QPoly.const(c) == c
+        assert hash(QPoly.const(c)) == hash(c)
+        assert len({QPoly.const(c), c}) == 1
 
     def test_arithmetic(self):
         p = QPoly({0: 1, 1: 2})
@@ -243,57 +260,3 @@ class TestGradeShift:
     def test_matches_q_power_multiplication(self, a, s):
         p = QPoly(a)
         assert grade_shift(p, s) == p * QPoly.q(s)
-
-
-class TestQFactorRatio:
-    def test_identity_reduce(self):
-        r = QFactorRatio.identity()
-        assert r.reduce() == r
-        assert r.to_qpoly() == QPoly.one()
-
-    def test_reduce_cancels(self):
-        r = QFactorRatio(num=(1, 2, 2), den=(2, 3))
-        reduced = r.reduce()
-        assert sorted(reduced.num.elements()) == [1, 2]
-        assert sorted(reduced.den.elements()) == [3]
-        assert reduced.reduce() == reduced
-
-    def test_multiplicities_preserved(self):
-        r = QFactorRatio(den=(1,)) * QFactorRatio(den=(1,))
-        assert sorted(r.den.elements()) == [1, 1]
-
-    def test_to_qpoly_exact(self):
-        # (1-q)(1-q^2)/(1-q) = 1 - q^2
-        r = QFactorRatio(num=(1, 2), den=(1,))
-        assert r.to_qpoly() == QPoly({0: 1, 2: -1})
-
-    def test_to_qpoly_sign_and_power(self):
-        r = QFactorRatio(num=(1,), sign=-1, qpower=2)
-        assert r.to_qpoly() == QPoly({2: -1, 3: 1})
-
-    def test_to_qpoly_rejects_nonpolynomial(self):
-        with pytest.raises(IntegralityError):
-            QFactorRatio(den=(1,)).to_qpoly()
-        with pytest.raises(IntegralityError):
-            QFactorRatio(num=(3,), den=(2,)).to_qpoly()
-
-    def test_division(self):
-        r = QFactorRatio(num=(4,)) / QFactorRatio(num=(4,))
-        assert r.reduce() == QFactorRatio.identity()
-
-    @given(st.lists(st.integers(1, 6), max_size=4),
-           st.lists(st.integers(1, 6), max_size=4))
-    def test_product_reduce_consistent(self, a, b):
-        # reducing before or after multiplying gives the same reduced form
-        r1 = (QFactorRatio(num=a) * QFactorRatio(den=b)).reduce()
-        r2 = QFactorRatio(num=a).reduce() * QFactorRatio(den=b).reduce()
-        assert r1 == r2.reduce()
-
-    @given(st.integers(0, 6), st.integers(0, 6))
-    def test_gaussian_binomial_as_ratio(self, a, b):
-        # [a+b a]_q = (q;q)_{a+b} / ((q;q)_a (q;q)_b)
-        ratio = QFactorRatio(
-            num=range(1, a + b + 1),
-            den=list(range(1, a + 1)) + list(range(1, b + 1)),
-        )
-        assert ratio.to_qpoly() == q_binomial(a + b, a)

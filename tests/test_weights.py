@@ -126,7 +126,6 @@ class TestPartition:
 
     def test_part_and_padding(self):
         p = Partition((3, 1))
-        assert p.part(1) == 3 and p.part(5) == 0
         assert p.padded(4) == (3, 1, 0, 0)
         with pytest.raises(ValueError):
             p.padded(1)
