@@ -10,7 +10,9 @@ character whose monomials share a total degree.
 Graded Weyl characters are q-Whittaker functions P_lam(x; q, 0), built by the
 branching rule (Macdonald, *Symmetric Functions and Hall Polynomials*, 2nd
 ed., Ch. VI §7): strip the last variable, sum over the interlacing rows one
-shorter with per-row q-binomial weights, and memoise on row tuples. pop_char
+shorter with per-row q-binomial weights, and memoise on row tuples. The
+peel of decompose_weyl_basis reads its leaders from a second memo over the
+same branches that keeps only weakly decreasing keys. pop_char
 and irreducible_char keep their own GT-pattern enumeration, so the POP route
 stays an independent check of the branching route.
 """
@@ -68,6 +70,11 @@ class GradedCharacter:
                     raise ValueError("exponents must be nonnegative")
                 if isinstance(poly, int):
                     poly = QPoly.const(poly)
+                elif not isinstance(poly, QPoly):
+                    raise TypeError(
+                        "coefficients must be int or QPoly, not %s"
+                        % type(poly).__name__
+                    )
                 acc = data.get(key)
                 poly = poly if acc is None else acc + poly
                 if poly.is_zero():
@@ -303,14 +310,14 @@ def _partition_char_cached(parts, n):
     return _wrap_char(n, MappingProxyType(_row_terms(row)))
 
 
-@functools.lru_cache(maxsize=None)
-def _row_terms(row):
-    """{exponent tuple: QPoly} of P_row in len(row) variables; read-only."""
-    if len(row) == 1:
-        return {row: QPoly.one()}
+def _branches(row):
+    """(upper, last, psi) for each row `upper` one shorter interlacing `row`.
+
+    last = |row| - |upper| is the exponent of the stripped variable and psi
+    the weight psi_{row/upper}(q), or None when every binomial in it is 1.
+    """
     size = sum(row)
     pairs = list(zip(row, row[1:]))
-    data = {}
     # interlacing forces row_{k+1} <= upper_k <= row_k, so every upper row
     # drawn from these ranges is already weakly decreasing
     for upper in itertools.product(*(range(lo, hi + 1) for hi, lo in pairs)):
@@ -319,9 +326,44 @@ def _row_terms(row):
             if lo < u < hi:  # the binomial is 1 at either end
                 binom = q_binomial(hi - lo, hi - u)
                 psi = binom if psi is None else psi * binom
-        last = (size - sum(upper),)
+        yield upper, size - sum(upper), psi
+
+
+@functools.lru_cache(maxsize=None)
+def _row_terms(row):
+    """{exponent tuple: QPoly} of P_row in len(row) variables; read-only."""
+    if len(row) == 1:
+        return {row: QPoly.one()}
+    data = {}
+    for upper, last, psi in _branches(row):
+        tail = (last,)
         for key, coeff in _row_terms(upper).items():
-            key += last
+            key += tail
+            if psi is not None:
+                coeff = coeff * psi
+            acc = data.get(key)
+            data[key] = coeff if acc is None else acc + coeff
+    return data
+
+
+@functools.lru_cache(maxsize=None)
+def _row_dominant_terms(row):
+    """The weakly decreasing keys of _row_terms(row) and their coefficients.
+
+    key + (last,) is weakly decreasing exactly when key is and
+    key[-1] >= last, so the dominant terms of P_row come from the dominant
+    terms of each P_upper alone. Every upper row is visited: the dominant
+    keys of P_upper can end above upper[-1].
+    """
+    if len(row) == 1:
+        return {row: QPoly.one()}
+    data = {}
+    for upper, last, psi in _branches(row):
+        tail = (last,)
+        for key, coeff in _row_dominant_terms(upper).items():
+            if key[-1] < last:
+                continue
+            key += tail
             if psi is not None:
                 coeff = coeff * psi
             acc = data.get(key)
@@ -545,7 +587,9 @@ def decompose_weyl_basis(f):
 
     The remainder is kept on dominant keys only: the remainder of a
     symmetric input stays symmetric, so its dominant coefficients determine
-    it, and each step subtracts only the dominant terms of the leader.
+    it. Each step subtracts the leader's dominant terms, which the
+    dominant-only row memo builds without the rest of the leader's
+    character; the full character memos are neither read nor filled.
     """
     if not isinstance(f, GradedCharacter):
         raise TypeError("decompose_weyl_basis expects a GradedCharacter")
@@ -562,11 +606,9 @@ def decompose_weyl_basis(f):
         seen.add(key)
         coeff = remainder[key]
         out.append((partition_to_weight(Partition(key), n), coeff))
-        leader = qwhittaker_partition_char(Partition(key), n)
         neg = -coeff
         _accumulate(
-            remainder,
-            ((k, p * neg) for k, p in leader.terms.items() if _is_dominant(k)),
+            remainder, ((k, p * neg) for k, p in _row_dominant_terms(key).items())
         )
     return out
 

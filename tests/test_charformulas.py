@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -27,7 +28,13 @@ from weylchar import (
     truncated_char,
     weight_to_bounding_partition,
 )
-from weylchar.charformulas import _homogeneous_sum
+from weylchar.charformulas import (
+    _homogeneous_sum,
+    _is_dominant,
+    _partition_char_cached,
+    _row_dominant_terms,
+    _row_terms,
+)
 
 from test_gtpop import weyl_dimension
 
@@ -50,6 +57,11 @@ class TestGradedCharacter:
     def test_float_exponent_rejected(self):
         with pytest.raises(TypeError):
             GradedCharacter(1, {(1.5, 0): 1})
+
+    @pytest.mark.parametrize("coeff", [1.5, "x"])
+    def test_non_polynomial_coefficient_rejected(self, coeff):
+        with pytest.raises(TypeError):
+            GradedCharacter(1, {(1, 0): coeff})
 
     def test_zero_terms_dropped(self):
         ch = GradedCharacter(1, {(1, 0): QPoly.zero(), (0, 1): 2})
@@ -492,3 +504,82 @@ class TestDecompose:
             for w, p in combo.items():
                 f = f + qwhittaker_char(w) * p
             assert dict(decompose_weyl_basis(f)) == combo
+
+    def test_square_pinned(self):
+        ch = qwhittaker_char(Weight(2, (2, 2)))
+        got = [
+            (w.coeffs, p.coefficient_list())
+            for w, p in decompose_weyl_basis(ch * ch)
+        ]
+        assert got == [
+            ((4, 4), [1]),
+            ((5, 2), [1, 1, -1, -1]),
+            ((6, 0), [1, -1, -1, 1]),
+            ((2, 5), [1, 1, -1, -1]),
+            ((3, 3), [2, 3, 0, -3, -4, -1, 2, 1]),
+            ((4, 1), [2, 2, -3, -4, -1, 2, 3, 0, -1]),
+            ((0, 6), [1, -1, -1, 1]),
+            ((1, 4), [2, 2, -3, -4, -1, 2, 3, 0, -1]),
+            ((2, 2), [3, 2, -1, -8, -6, 6, 6, 2, -3, -2, 1]),
+            ((3, 0), [1, 1, -3, -3, 3, 3, -1, -1]),
+            ((0, 3), [1, 1, -3, -3, 3, 3, -1, -1]),
+            ((1, 1), [2, 1, -6, -4, 6, 6, -2, -4, 0, 1]),
+            ((0, 0), [1, -2, -1, 4, -1, -2, 1]),
+        ]
+
+    def test_peel_leaves_full_memos_alone(self):
+        # leaders come from the dominant-only memo: with the full memos
+        # emptied first, building the factors is all that may fill them
+        _row_terms.cache_clear()
+        _partition_char_cached.cache_clear()
+        product = qwhittaker_char(Weight(2, (3, 1))) * qwhittaker_char(
+            Weight(2, (1, 2))
+        )
+        before = (
+            _row_terms.cache_info().currsize,
+            _partition_char_cached.cache_info().currsize,
+        )
+        assert len(decompose_weyl_basis(product)) > 1
+        after = (
+            _row_terms.cache_info().currsize,
+            _partition_char_cached.cache_info().currsize,
+        )
+        assert after == before
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_product_round_trip(self, data):
+        n = data.draw(st.integers(1, 3))
+        weights = st.tuples(*(st.integers(0, 3) for _ in range(n))).filter(
+            lambda c: sum(c) <= 3
+        )
+        a = qwhittaker_char(Weight(n, data.draw(weights)))
+        b = qwhittaker_char(Weight(n, data.draw(weights)))
+        product = a * b
+        degree = product.total_degree()
+        rebuilt = GradedCharacter.zero(n)
+        dim = 0
+        for w, p in decompose_weyl_basis(product):
+            shift, rem = divmod(degree - w.size(), n + 1)
+            assert rem == 0 and shift >= 0
+            rebuilt = rebuilt + (qwhittaker_char(w) * p).det_twist(shift)
+            # dim W(mu) = prod_i dim V(omega_i)^{mu_i}
+            dim += p.at_one() * math.prod(
+                math.comb(n + 1, i) ** c for i, c in enumerate(w.coeffs, 1)
+            )
+        assert rebuilt == product
+        assert dim == a.q1_dimension() * b.q1_dimension()
+
+
+class TestRowDominantTerms:
+    def test_equals_filtered_full_memo(self):
+        rows = [
+            row
+            for length in range(1, 6)
+            for row in itertools.product(range(5), repeat=length)
+            if _is_dominant(row)
+        ]
+        assert len(rows) == 251
+        for row in rows:
+            full = {k: p for k, p in _row_terms(row).items() if _is_dominant(k)}
+            assert _row_dominant_terms(row) == full, row
