@@ -11,10 +11,11 @@ Graded Weyl characters are q-Whittaker functions P_lam(x; q, 0), built by the
 branching rule (Macdonald, *Symmetric Functions and Hall Polynomials*, 2nd
 ed., Ch. VI §7): strip the last variable, sum over the interlacing rows one
 shorter with per-row q-binomial weights, and memoise on row tuples. The
-peel of decompose_weyl_basis reads its leaders from a second memo over the
-same branches that keeps only weakly decreasing keys. pop_char
-and irreducible_char keep their own GT-pattern enumeration, so the POP route
-stays an independent check of the branching route.
+row memo keeps only weakly decreasing keys: P_lam is symmetric, so its
+other terms permute these, and the peel of decompose_weyl_basis reads its
+leaders from the same memo. pop_char and irreducible_char keep their own
+GT-pattern enumeration, so the POP route stays an independent check of the
+branching route.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class GradedCharacter:
 
     `terms` maps each exponent tuple to a nonzero QPoly. Treat it as
     read-only: a character built by the branching rule holds a read-only
-    view of the row memo's dict.
+    view of a cached dict, whose coefficients it shares with the row memo.
     """
 
     __slots__ = ("n", "terms")
@@ -292,7 +293,8 @@ def qwhittaker_partition_char(p, n):
     with psi_{row/upper} = prod_k [row_k - row_{k+1} choose row_k - upper_k]_q.
     Unrolled down to a single entry this is the sum over GT patterns of the
     gl-weight monomial times the per-cell Gaussian binomials [a+b choose a]_q
-    of the POP overlay bounds; the recursion is memoised on row tuples, so
+    of the POP overlay bounds. The recursion keeps the dominant terms only,
+    the rest following by symmetry, and is memoised on row tuples, so
     characters whose patterns share sub-rows share that work. Adding a full
     column to the bottom row twists by the determinant and leaves every
     psi unchanged.
@@ -307,7 +309,14 @@ def _partition_char_cached(parts, n):
     if n < 1:
         raise ValueError("rank must be a positive integer")
     row = Partition(parts).padded(n + 1)
-    return _wrap_char(n, MappingProxyType(_row_terms(row)))
+    # P_row is symmetric, so each dominant term hands its coefficient to
+    # every distinct permutation of its key; the QPoly is shared, not copied
+    data = {
+        perm: coeff
+        for key, coeff in _row_dominant_terms(row).items()
+        for perm in set(itertools.permutations(key))
+    }
+    return _wrap_char(n, MappingProxyType(data))
 
 
 def _branches(row):
@@ -330,27 +339,11 @@ def _branches(row):
 
 
 @functools.lru_cache(maxsize=None)
-def _row_terms(row):
-    """{exponent tuple: QPoly} of P_row in len(row) variables; read-only."""
-    if len(row) == 1:
-        return {row: QPoly.one()}
-    data = {}
-    for upper, last, psi in _branches(row):
-        tail = (last,)
-        for key, coeff in _row_terms(upper).items():
-            key += tail
-            if psi is not None:
-                coeff = coeff * psi
-            acc = data.get(key)
-            data[key] = coeff if acc is None else acc + coeff
-    return data
-
-
-@functools.lru_cache(maxsize=None)
 def _row_dominant_terms(row):
-    """The weakly decreasing keys of _row_terms(row) and their coefficients.
+    """{weakly decreasing exponent tuple: QPoly} of P_row; read-only.
 
-    key + (last,) is weakly decreasing exactly when key is and
+    The one branching memo: every character and every peel leader reads
+    it. key + (last,) is weakly decreasing exactly when key is and
     key[-1] >= last, so the dominant terms of P_row come from the dominant
     terms of each P_upper alone. Every upper row is visited: the dominant
     keys of P_upper can end above upper[-1].
@@ -587,9 +580,8 @@ def decompose_weyl_basis(f):
 
     The remainder is kept on dominant keys only: the remainder of a
     symmetric input stays symmetric, so its dominant coefficients determine
-    it. Each step subtracts the leader's dominant terms, which the
-    dominant-only row memo builds without the rest of the leader's
-    character; the full character memos are neither read nor filled.
+    it. Each step subtracts the leader's dominant terms straight from the
+    row memo, so no leader's full character is built or cached.
     """
     if not isinstance(f, GradedCharacter):
         raise TypeError("decompose_weyl_basis expects a GradedCharacter")

@@ -362,7 +362,7 @@ def run(argv):
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (ValueError, DecompositionError, KeyError, OSError) as exc:
+    except (ValueError, OverflowError, DecompositionError, KeyError, OSError) as exc:
         sys.stderr.write("error: %s\n" % (exc,))
         return 2
 

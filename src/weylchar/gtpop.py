@@ -14,6 +14,7 @@ t-degree of the resulting basis word.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .weights import Partition, Weight, weight_to_bounding_partition
 
@@ -24,7 +25,7 @@ class GTPattern:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(e) for e in row) for row in rows)
+        rows = tuple(tuple(map(operator.index, row)) for row in rows)
         if not rows:
             raise ValueError("pattern needs at least one row")
         for i, row in enumerate(rows, start=1):

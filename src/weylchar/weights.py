@@ -7,6 +7,8 @@ alpha_j for 1 <= i <= j <= n, with highest root theta = alpha_{1n}.
 
 from __future__ import annotations
 
+import operator
+
 
 class RankMismatchError(ValueError):
     """Raised when objects of incompatible ranks are combined."""
@@ -20,7 +22,7 @@ class Weight:
     def __init__(self, n, coeffs):
         if n < 1:
             raise ValueError("rank must be a positive integer")
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(operator.index, coeffs))
         if len(coeffs) != n:
             raise RankMismatchError(
                 "rank %d weight needs %d coefficients, got %d" % (n, n, len(coeffs))
@@ -88,10 +90,11 @@ class Root:
     __slots__ = ("i", "j")
 
     def __init__(self, i, j):
+        i, j = operator.index(i), operator.index(j)
         if not 1 <= i <= j:
             raise ValueError("need 1 <= i <= j for a positive root")
-        object.__setattr__(self, "i", int(i))
-        object.__setattr__(self, "j", int(j))
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
 
     def __setattr__(self, name, value):
         raise AttributeError("Root is immutable")
@@ -151,7 +154,7 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(operator.index, parts))
         if any(p < 0 for p in parts):
             raise ValueError("partition parts must be nonnegative")
         if any(parts[k] < parts[k + 1] for k in range(len(parts) - 1)):

@@ -86,6 +86,14 @@ class TestChar:
         out = run_cli("char", "--rank", "2", "--weight", "1,-1")
         assert out.returncode == 2
 
+    def test_oversized_weight_is_input_error(self):
+        # the interlacing ranges overflow a C index long before any work
+        out = run_cli("char", "--rank", "2", "--weight", "99999999999999999999999,0")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: ")
+        assert "Traceback" not in out.stderr
+
 
 class TestPops:
     def test_plain_count(self):
@@ -173,6 +181,18 @@ class TestDecompose:
     def test_float_coefficient_is_input_error(self):
         self.assert_input_error(
             {"rank": 2, "terms": [{"exponents": [0, 0, 0], "coefficient": [1.5]}]}
+        )
+
+    def test_oversized_exponent_is_input_error(self):
+        big = 10**23
+        self.assert_input_error(
+            {
+                "rank": 1,
+                "terms": [
+                    {"exponents": [big, 0], "coefficient": [1]},
+                    {"exponents": [0, big], "coefficient": [1]},
+                ],
+            }
         )
 
     def test_repeated_exponents_add_up(self):

@@ -48,6 +48,10 @@ class TestGTPattern:
         with pytest.raises(ValueError):
             GTPattern(((0,), (2, 1), (2, 1, 0)))
 
+    def test_float_rejected(self):
+        with pytest.raises(TypeError):
+            GTPattern([(1.5,), (2, 1)])
+
     def test_accessors(self):
         p = GTPattern(((1,), (2, 0), (2, 1, 0)))
         assert p.n == 2

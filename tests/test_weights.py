@@ -33,6 +33,11 @@ class TestWeight:
         with pytest.raises(ValueError):
             Weight(0, ())
 
+    def test_float_rejected(self):
+        # as in QPoly and GradedCharacter, a float is refused, not truncated
+        with pytest.raises(TypeError):
+            Weight(2, (1.5, 0))
+
     def test_arithmetic(self):
         a = Weight(2, (1, 0))
         b = Weight(2, (0, 1))
@@ -63,6 +68,10 @@ class TestRoot:
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             Root(2, 1)
+
+    def test_float_rejected(self):
+        with pytest.raises(TypeError):
+            Root(1.9, 2)
 
     def test_highest(self):
         assert Root.highest(3) == Root(1, 3)
@@ -115,6 +124,10 @@ class TestPartition:
             Partition((1, 2))
         with pytest.raises(ValueError):
             Partition((2, -1))
+
+    def test_float_rejected(self):
+        with pytest.raises(TypeError):
+            Partition((2.7, 1))
 
     def test_trailing_zeros_trimmed(self):
         assert Partition((2, 1, 0, 0)) == Partition((2, 1))
