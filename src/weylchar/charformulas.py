@@ -314,9 +314,28 @@ def _partition_char_cached(parts, n):
     data = {
         perm: coeff
         for key, coeff in _row_dominant_terms(row).items()
-        for perm in set(itertools.permutations(key))
+        for perm in _orbit(key)
     }
     return _wrap_char(n, MappingProxyType(data))
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit(key):
+    """Every distinct permutation of the weakly decreasing tuple `key`.
+
+    Each distinct entry in turn leads, followed by the orbit of the rest,
+    so the work is proportional to the orbit rather than to len(key)!.
+    The rest of a weakly decreasing tuple is weakly decreasing, and the
+    memo lets the dominant keys of one character share their sub-orbits.
+    """
+    if len(key) < 2:
+        return (key,)
+    return tuple(
+        (lead,) + perm
+        for i, lead in enumerate(key)
+        if not i or key[i - 1] != lead
+        for perm in _orbit(key[:i] + key[i + 1:])
+    )
 
 
 def _branches(row):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,7 @@ from weylchar import (
 from weylchar.charformulas import (
     _homogeneous_sum,
     _is_dominant,
+    _orbit,
     _partition_char_cached,
     _row_dominant_terms,
 )
@@ -122,7 +124,9 @@ class TestQWhittaker:
         }
 
     def test_first_fundamental_is_qfree_sum(self):
-        for n in (1, 2, 3):
+        # at rank 11 the one dominant key (1, 0, ..., 0) has 12 permutations
+        # among its 12! orderings
+        for n in (1, 2, 3, 11):
             ch = qwhittaker_char(Weight.fundamental(n, 1))
             assert len(ch.terms) == n + 1
             assert all(p == QPoly.one() for p in ch.terms.values())
@@ -139,6 +143,22 @@ class TestQWhittaker:
 
     def test_symmetric(self):
         assert qwhittaker_char(Weight(2, (2, 1))).is_symmetric()
+
+    @pytest.mark.parametrize(
+        "key",
+        [(5,), (2, 2, 2), (3, 2, 1, 0), (2, 2, 1, 1, 0, 0), (1,) + (0,) * 11],
+    )
+    def test_orbit_is_the_distinct_permutations(self, key):
+        # a permutation per multiset arrangement and no repeats; the memo
+        # visits only sub-multisets of key, never all len(key)! orderings
+        counts = Counter(key).values()
+        _orbit.cache_clear()
+        orbit = _orbit(key)
+        assert len(orbit) == len(set(orbit)) == math.factorial(len(key)) // math.prod(
+            math.factorial(m) for m in counts
+        )
+        assert all(tuple(sorted(p, reverse=True)) == key for p in orbit)
+        assert _orbit.cache_info().misses <= math.prod(m + 1 for m in counts)
 
     def test_memoised_terms_are_read_only(self):
         lam = Weight(2, (1, 1))
