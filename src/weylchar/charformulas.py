@@ -16,6 +16,11 @@ other terms permute these, and the peel of decompose_weyl_basis reads its
 leaders from the same memo. pop_char and irreducible_char keep their own
 GT-pattern enumeration, so the POP route stays an independent check of the
 branching route.
+
+Products of symmetric characters, the brute-force side of every tensor
+identity, likewise compute only their dominant coefficients and hand each
+to the orbit of its key; only a nonsymmetric operand is multiplied pair by
+pair.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ class GradedCharacter:
     __slots__ = ("n", "terms")
 
     def __init__(self, n, terms=None):
+        n = operator.index(n)
         if n < 1:
             raise ValueError("rank must be a positive integer")
         data = {}
@@ -125,6 +131,13 @@ class GradedCharacter:
         return _wrap_char(self.n, {k: -p for k, p in self.terms.items()})
 
     def __mul__(self, other):
+        """Product with a character (monomial convolution), int or QPoly.
+
+        When both characters are symmetric, so is the product, and it is
+        built on the dominant cone: one QPoly multiply per dominant class
+        of self and dominant key of the product. Otherwise every pair of
+        terms is multiplied.
+        """
         if isinstance(other, (int, QPoly)):
             if isinstance(other, int):
                 other = QPoly.const(other)
@@ -135,6 +148,8 @@ class GradedCharacter:
         if not isinstance(other, GradedCharacter):
             return NotImplemented
         self._check_rank(other)
+        if self.is_symmetric() and other.is_symmetric():
+            return _wrap_char(self.n, _symmetric_product(self.terms, other.terms))
         data = {}
         for k1, p1 in self.terms.items():
             for k2, p2 in other.terms.items():
@@ -148,6 +163,7 @@ class GradedCharacter:
 
     def det_twist(self, c):
         """Multiply by (x_1 ... x_{n+1})^c, c >= 0: add c to every exponent."""
+        c = operator.index(c)
         if c < 0:
             raise ValueError("determinant twist must be nonnegative")
         if c == 0:
@@ -248,6 +264,35 @@ def _accumulate(data, items):
     return data
 
 
+def _symmetric_product(a, b):
+    """Terms of the product of two symmetric term dicts, from its dominant keys.
+
+    The product is symmetric, so only its dominant coefficients are
+    computed, each then shared by every key of its orbit. a is constant on
+    each orbit, so for each dominant key d of a the terms of b that meet a
+    member k1 of d's orbit on a dominant key are summed first, and each sum
+    is multiplied by a[d] once. k1 + k2 is dominant exactly when every gap
+    k2[i] - k2[i+1] is at least k1[i+1] - k1[i].
+    """
+    b_terms = [
+        (tuple(map(operator.sub, k2, k2[1:])), k2, p2) for k2, p2 in b.items()
+    ]
+    dominant = {}
+    for d, coeff in a.items():
+        if not _is_dominant(d):
+            continue
+        sums = {}
+        for k1 in _orbit(d):
+            need = tuple(map(operator.sub, k1[1:], k1))
+            for gaps, k2, p2 in b_terms:
+                if all(map(operator.ge, gaps, need)):
+                    key = tuple(map(operator.add, k1, k2))
+                    acc = sums.get(key)
+                    sums[key] = p2 if acc is None else acc + p2
+        _accumulate(dominant, ((key, coeff * s) for key, s in sums.items() if s))
+    return {perm: coeff for key, coeff in dominant.items() for perm in _orbit(key)}
+
+
 def _homogeneous_sum(n, terms):
     """Sum of coeff * ch over (ch, coeff) pairs of homogeneous characters.
 
@@ -275,7 +320,12 @@ def _homogeneous_sum(n, terms):
 
 
 def char_multiply(a, b):
-    """Product of graded characters (monomial convolution)."""
+    """Product of graded characters (monomial convolution).
+
+    Two symmetric operands, such as Weyl characters, are multiplied on the
+    dominant cone and the product filled in by orbits; see
+    GradedCharacter.__mul__.
+    """
     if not isinstance(a, GradedCharacter) or not isinstance(b, GradedCharacter):
         raise TypeError("char_multiply expects two GradedCharacter operands")
     return a * b

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from collections import Counter
 
@@ -45,6 +46,22 @@ def x(*exps):
     return tuple(exps)
 
 
+def all_pairs_product(a, b):
+    """Reference product: one QPoly multiply per pair of terms, no symmetry."""
+    data = {}
+    for k1, p1 in a.terms.items():
+        for k2, p2 in b.terms.items():
+            key = tuple(map(operator.add, k1, k2))
+            data[key] = data.get(key, QPoly.zero()) + p1 * p2
+    return GradedCharacter(a.n, data)
+
+
+def orbit_sum(n, key, coeff=1):
+    """coeff times the sum of x^perm over the distinct permutations of key."""
+    perms = set(itertools.permutations(key))
+    return GradedCharacter(n, {perm: coeff for perm in perms})
+
+
 class TestGradedCharacter:
     def test_rank_checks(self):
         with pytest.raises(RankMismatchError):
@@ -59,6 +76,10 @@ class TestGradedCharacter:
     def test_float_exponent_rejected(self):
         with pytest.raises(TypeError):
             GradedCharacter(1, {(1.5, 0): 1})
+
+    def test_float_rank_rejected(self):
+        with pytest.raises(TypeError):
+            GradedCharacter(2.0)
 
     @pytest.mark.parametrize("coeff", [1.5, "x"])
     def test_non_polynomial_coefficient_rejected(self, coeff):
@@ -84,6 +105,10 @@ class TestGradedCharacter:
         with pytest.raises(ValueError):
             a.det_twist(-1)
 
+    def test_float_det_twist_rejected(self):
+        with pytest.raises(TypeError):
+            qwhittaker_char(Weight(2, (1, 1))).det_twist(1.5)
+
     def test_sl_normalize_merges_nothing_within_size(self):
         a = GradedCharacter(1, {(3, 1): 1, (2, 0): QPoly.q()})
         normalized = a.sl_normalize()
@@ -106,6 +131,73 @@ class TestGradedCharacter:
         assert (a + -a).terms == {}
         assert (a * 0).terms == {}
         assert (a + b).terms == {(1, 0): QPoly.const(2)}
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            (qwhittaker_char(Weight(1, (3,))), qwhittaker_char(Weight(1, (2,)))),
+            (qwhittaker_char(Weight(2, (2, 1))), qwhittaker_char(Weight(2, (1, 2)))),
+            (qwhittaker_char(Weight(2, (2, 2))), qwhittaker_char(Weight(2, (2, 2)))),
+            (
+                qwhittaker_char(Weight(3, (1, 0, 1))),
+                qwhittaker_char(Weight(3, (0, 2, 0))),
+            ),
+            (
+                qwhittaker_char(Weight(4, (1, 0, 0, 1))),
+                qwhittaker_char(Weight(4, (0, 1, 1, 0))),
+            ),
+            (truncated_char(Weight(2, (2, 2)), 1), qwhittaker_char(Weight(2, (1, 0)))),
+            # (x1 + x2)(x1^2 - x1 x2 + x2^2) = x1^3 + x2^3: the x1^2 x2 terms cancel
+            (orbit_sum(1, (1, 0)), orbit_sum(1, (2, 0)) - orbit_sum(1, (1, 1))),
+            (
+                qwhittaker_char(Weight(2, (1, 0))) - qwhittaker_char(Weight(2, (0, 1))),
+                qwhittaker_char(Weight(2, (1, 1))),
+            ),
+            (GradedCharacter.zero(2), qwhittaker_char(Weight(2, (1, 1)))),
+            (GradedCharacter.one(2), qwhittaker_char(Weight(2, (2, 1)))),
+            (GradedCharacter.one(3), GradedCharacter.zero(3)),
+            (
+                GradedCharacter(2, {(1, 0, 0): 1, (0, 2, 1): QPoly.q()}),
+                qwhittaker_char(Weight(2, (1, 1))),
+            ),
+        ],
+        ids=[
+            "rank1",
+            "rank2",
+            "rank2-square",
+            "rank3",
+            "rank4",
+            "truncated",
+            "cancelling",
+            "difference",
+            "zero",
+            "one",
+            "one-zero",
+            "nonsymmetric",
+        ],
+    )
+    def test_symmetric_product_matches_all_pairs(self, a, b):
+        expected = all_pairs_product(a, b)
+        assert a * b == expected
+        assert b * a == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_symmetric_products(self, data):
+        n = data.draw(st.integers(1, 3))
+        keys = st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1).map(
+            lambda parts: tuple(sorted(parts, reverse=True))
+        )
+        coeffs = st.dictionaries(st.integers(0, 1), st.integers(-3, 3), max_size=2)
+
+        def draw_symmetric():
+            ch = GradedCharacter.zero(n)
+            for _ in range(data.draw(st.integers(0, 4))):
+                ch = ch + orbit_sum(n, data.draw(keys), QPoly(data.draw(coeffs)))
+            return ch
+
+        a, b = draw_symmetric(), draw_symmetric()
+        assert a * b == all_pairs_product(a, b)
 
     def test_specializations(self):
         ch = GradedCharacter(1, {(1, 1): QPoly({0: 1, 1: 1}), (2, 0): QPoly({1: 3})})
