@@ -17,10 +17,11 @@ leaders from the same memo. pop_char and irreducible_char keep their own
 GT-pattern enumeration, so the POP route stays an independent check of the
 branching route.
 
-Products of symmetric characters, the brute-force side of every tensor
-identity, likewise compute only their dominant coefficients and hand each
-to the orbit of its key; only a nonsymmetric operand is multiplied pair by
-pair.
+Every character the paper handles is symmetric, so its dominant terms
+determine it. _dominant_terms is the one symmetry test and split, and
+_orbit_fill the one way back. Full characters, products, the closed-form
+sums and the peel all cross this boundary; only a product with a
+nonsymmetric operand is multiplied pair by pair.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ class GradedCharacter:
     """Z[q]-combination of monomials x^e, e an (n+1)-tuple of exponents.
 
     `terms` maps each exponent tuple to a nonzero QPoly. Treat it as
-    read-only: a character built by the branching rule holds a read-only
-    view of a cached dict, whose coefficients it shares with the row memo.
+    read-only: a character filled in from its dominant terms holds a
+    read-only view, and one built by the branching rule is cached.
     """
 
     __slots__ = ("n", "terms")
@@ -64,30 +65,8 @@ class GradedCharacter:
         n = operator.index(n)
         if n < 1:
             raise ValueError("rank must be a positive integer")
-        data = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for key, poly in items:
-                key = tuple(map(operator.index, key))
-                if len(key) != n + 1:
-                    raise RankMismatchError(
-                        "rank %d character needs %d exponents per term" % (n, n + 1)
-                    )
-                if any(e < 0 for e in key):
-                    raise ValueError("exponents must be nonnegative")
-                if isinstance(poly, int):
-                    poly = QPoly.const(poly)
-                elif not isinstance(poly, QPoly):
-                    raise TypeError(
-                        "coefficients must be int or QPoly, not %s"
-                        % type(poly).__name__
-                    )
-                acc = data.get(key)
-                poly = poly if acc is None else acc + poly
-                if poly.is_zero():
-                    data.pop(key, None)
-                else:
-                    data[key] = poly
+        items = terms.items() if isinstance(terms, Mapping) else terms or ()
+        data = _accumulate({}, _checked_terms(n, items))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", data)
 
@@ -101,9 +80,6 @@ class GradedCharacter:
     @classmethod
     def one(cls, n):
         return cls(n, {(0,) * (n + 1): QPoly.one()})
-
-    def coefficient(self, key):
-        return self.terms.get(tuple(key), QPoly.zero())
 
     def is_zero(self):
         return not self.terms
@@ -148,16 +124,14 @@ class GradedCharacter:
         if not isinstance(other, GradedCharacter):
             return NotImplemented
         self._check_rank(other)
-        if self.is_symmetric() and other.is_symmetric():
-            return _wrap_char(self.n, _symmetric_product(self.terms, other.terms))
-        data = {}
-        for k1, p1 in self.terms.items():
-            for k2, p2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                acc = data.get(key)
-                prod = p1 * p2
-                data[key] = prod if acc is None else acc + prod
-        return _wrap_char(self.n, {k: p for k, p in data.items() if p})
+        dominant = _dominant_terms(self.terms)
+        if dominant is not None and other.is_symmetric():
+            return _orbit_fill(self.n, _symmetric_product(dominant, other.terms))
+        pairs = itertools.product(self.terms.items(), other.terms.items())
+        products = (
+            (tuple(map(operator.add, k1, k2)), p1 * p2) for (k1, p1), (k2, p2) in pairs
+        )
+        return _wrap_char(self.n, _accumulate({}, products))
 
     __rmul__ = __mul__
 
@@ -196,20 +170,7 @@ class GradedCharacter:
 
     def is_symmetric(self):
         """True when invariant under all permutations of the variables."""
-        orbits = {}
-        for key, poly in self.terms.items():
-            canon = tuple(sorted(key, reverse=True))
-            orbits.setdefault(canon, []).append((key, poly))
-        for canon, members in orbits.items():
-            size = math.factorial(len(canon))
-            for mult in Counter(canon).values():
-                size //= math.factorial(mult)
-            if len(members) != size:
-                return False
-            first = members[0][1]
-            if any(poly != first for _, poly in members[1:]):
-                return False
-        return True
+        return _dominant_terms(self.terms) is not None
 
     def __eq__(self, other):
         return (
@@ -264,23 +225,70 @@ def _accumulate(data, items):
     return data
 
 
-def _symmetric_product(a, b):
-    """Terms of the product of two symmetric term dicts, from its dominant keys.
+def _checked_terms(n, items):
+    """The nonzero (key, QPoly) pairs of constructor input, each validated."""
+    for key, poly in items:
+        key = tuple(map(operator.index, key))
+        if len(key) != n + 1:
+            raise RankMismatchError(
+                "rank %d character needs %d exponents per term" % (n, n + 1)
+            )
+        if any(e < 0 for e in key):
+            raise ValueError("exponents must be nonnegative")
+        if isinstance(poly, int):
+            poly = QPoly.const(poly)
+        elif not isinstance(poly, QPoly):
+            raise TypeError(
+                "coefficients must be int or QPoly, not %s" % type(poly).__name__
+            )
+        if poly:
+            yield key, poly
 
-    The product is symmetric, so only its dominant coefficients are
-    computed, each then shared by every key of its orbit. a is constant on
-    each orbit, so for each dominant key d of a the terms of b that meet a
-    member k1 of d's orbit on a dominant key are summed first, and each sum
-    is multiplied by a[d] once. k1 + k2 is dominant exactly when every gap
-    k2[i] - k2[i+1] is at least k1[i+1] - k1[i].
+
+def _dominant_terms(terms):
+    """{dominant key: coeff} of a symmetric term dict, None if it is not one.
+
+    The one symmetry test: every key carries the coefficient of its sorted
+    key, and the orbit sizes (n+1)!/prod m_i! of the dominant keys add up to
+    len(terms) (Macdonald, Ch. VI). Orbits are counted, never listed.
+    """
+    dominant = {}
+    size = 0
+    for key, poly in terms.items():
+        canon = tuple(sorted(key, reverse=True))
+        if canon == key:
+            dominant[key] = poly
+            size += math.factorial(len(key)) // math.prod(
+                map(math.factorial, Counter(key).values())
+            )
+        elif terms.get(canon) != poly:
+            return None
+    return dominant if size == len(terms) else None
+
+
+def _orbit_fill(n, dominant):
+    """The read-only symmetric character with these dominant terms.
+
+    The one orbit fill: each coefficient is shared by every key of its orbit.
+    """
+    data = {perm: coeff for key, coeff in dominant.items() for perm in _orbit(key)}
+    return _wrap_char(n, MappingProxyType(data))
+
+
+def _symmetric_product(dominant, b):
+    """Dominant terms of a product, from the left factor's dominant terms.
+
+    b holds every term of the right factor. The left factor is constant on
+    each orbit, so for each dominant key d the terms of b that meet a member
+    k1 of d's orbit on a dominant key are summed first, and each sum is
+    multiplied by dominant[d] once. k1 + k2 is dominant exactly when every
+    gap k2[i] - k2[i+1] is at least k1[i+1] - k1[i].
     """
     b_terms = [
         (tuple(map(operator.sub, k2, k2[1:])), k2, p2) for k2, p2 in b.items()
     ]
-    dominant = {}
-    for d, coeff in a.items():
-        if not _is_dominant(d):
-            continue
+    product = {}
+    for d, coeff in dominant.items():
         sums = {}
         for k1 in _orbit(d):
             need = tuple(map(operator.sub, k1[1:], k1))
@@ -289,22 +297,27 @@ def _symmetric_product(a, b):
                     key = tuple(map(operator.add, k1, k2))
                     acc = sums.get(key)
                     sums[key] = p2 if acc is None else acc + p2
-        _accumulate(dominant, ((key, coeff * s) for key, s in sums.items() if s))
-    return {perm: coeff for key, coeff in dominant.items() for perm in _orbit(key)}
+        _accumulate(product, ((key, coeff * s) for key, s in sums.items() if s))
+    return product
 
 
 def _homogeneous_sum(n, terms):
-    """Sum of coeff * ch over (ch, coeff) pairs of homogeneous characters.
+    """Sum of coeff * ch over (ch, coeff) pairs of symmetric characters.
 
-    Each term is det-twisted up to the total degree of the first nonzero
-    term; ArithmeticError when the gap is not a nonnegative multiple of n+1.
+    Each term's dominant terms are det-twisted up to the total degree of
+    the first nonzero term and scaled, and the orbits are filled once.
+    ArithmeticError when a gap is not a nonnegative multiple of n+1,
+    ValueError for a nonsymmetric term.
     """
     data = {}
     degree = None
     for ch, coeff in terms:
         if not coeff or not ch.terms:
             continue
-        own = sum(next(iter(ch.terms)))
+        dominant = _dominant_terms(ch.terms)
+        if dominant is None:
+            raise ValueError("a term of the sum is not a symmetric character")
+        own = sum(next(iter(dominant)))
         if degree is None:
             degree = own
         shift, rem = divmod(degree - own, n + 1)
@@ -314,9 +327,9 @@ def _homogeneous_sum(n, terms):
                 % (own, degree)
             )
         # Z[q] has no zero divisors, so no scaled coefficient vanishes
-        twisted = ch.det_twist(shift).terms.items()
-        _accumulate(data, ((k, p * coeff) for k, p in twisted))
-    return _wrap_char(n, data)
+        shifted = ((tuple(e + shift for e in k), p) for k, p in dominant.items())
+        _accumulate(data, ((k, p * coeff) for k, p in shifted))
+    return _orbit_fill(n, data)
 
 
 def char_multiply(a, b):
@@ -358,15 +371,7 @@ def qwhittaker_partition_char(p, n):
 def _partition_char_cached(parts, n):
     if n < 1:
         raise ValueError("rank must be a positive integer")
-    row = Partition(parts).padded(n + 1)
-    # P_row is symmetric, so each dominant term hands its coefficient to
-    # every distinct permutation of its key; the QPoly is shared, not copied
-    data = {
-        perm: coeff
-        for key, coeff in _row_dominant_terms(row).items()
-        for perm in _orbit(key)
-    }
-    return _wrap_char(n, MappingProxyType(data))
+    return _orbit_fill(n, _row_dominant_terms(Partition(parts).padded(n + 1)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -654,10 +659,10 @@ def decompose_weyl_basis(f):
     """
     if not isinstance(f, GradedCharacter):
         raise TypeError("decompose_weyl_basis expects a GradedCharacter")
-    if not f.is_symmetric():
+    remainder = _dominant_terms(f.terms)
+    if remainder is None:
         raise DecompositionError("input is not a symmetric function")
     n = f.n
-    remainder = {k: p for k, p in f.terms.items() if _is_dominant(k)}
     out = []
     seen = set()
     while remainder:
@@ -672,8 +677,3 @@ def decompose_weyl_basis(f):
             remainder, ((k, p * neg) for k, p in _row_dominant_terms(key).items())
         )
     return out
-
-
-def _is_dominant(key):
-    """True for a weakly decreasing exponent tuple."""
-    return all(map(operator.ge, key, key[1:]))

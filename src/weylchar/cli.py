@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from .charformulas import (
@@ -108,6 +109,18 @@ def _cmd_char(args):
 
 def _cmd_dim(args):
     lam = _weight_arg(args)
+    # refuse, before computing, a dimension too long to print: its digit
+    # count is about sum_i m_i log10 C(n+1, i), and a margin of one digit
+    # keeps every printable dimension
+    limit = sys.get_int_max_str_digits()
+    digits = sum(
+        m * math.log10(math.comb(lam.n + 1, i)) for i, m in enumerate(lam.coeffs, 1)
+    )
+    if limit and digits > limit + 1:
+        raise ValueError(
+            "the dimension has about %.6g digits, over the %d-digit limit for printing"
+            % (digits, limit)
+        )
     dim = pop_count(lam)
     payload = {
         "command": "dim", "rank": lam.n, "weight": list(lam.coeffs), "dimension": dim

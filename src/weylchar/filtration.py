@@ -15,6 +15,7 @@ fusion modules M_j.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .charformulas import (
@@ -217,6 +218,7 @@ def fusion_dim(j, lam1, lam2, lam3):
     3, 6, 10 (level-1, 2, 3 Demazure modules at a fundamental weight) and 8
     (the adjoint module).
     """
+    j = operator.index(j)
     if j < 0:
         raise ValueError("fusion index j must be nonnegative")
     for lam in (lam1, lam2, lam3):

@@ -151,7 +151,7 @@ class POP:
 
     def __init__(self, pattern, overlays):
         overlays = {
-            (int(j), int(i)): tuple(int(p) for p in parts)
+            (operator.index(j), operator.index(i)): tuple(map(operator.index, parts))
             for (j, i), parts in overlays.items()
         }
         expected = set(cells(pattern.n))
@@ -294,7 +294,10 @@ class BasisWord:
 
     def __init__(self, factors):
         factors = tuple(
-            ((int(i), int(j)), dict(sorted((int(s), int(r)) for s, r in powers.items())))
+            (
+                (operator.index(i), operator.index(j)),
+                dict(sorted(tuple(map(operator.index, sr)) for sr in powers.items())),
+            )
             for (i, j), powers in factors
         )
         for (i, j), powers in factors:

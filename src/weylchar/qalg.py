@@ -168,9 +168,6 @@ class QPoly:
         """Degree, or -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def coefficient(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
     def constant_term(self):
         """Value at q = 0."""
         return self.coeffs[0] if self.coeffs else 0

@@ -4,6 +4,7 @@ import itertools
 import math
 import operator
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -33,7 +34,6 @@ from weylchar import (
 )
 from weylchar.charformulas import (
     _homogeneous_sum,
-    _is_dominant,
     _orbit,
     _partition_char_cached,
     _row_dominant_terms,
@@ -44,6 +44,15 @@ from test_gtpop import weyl_dimension
 
 def x(*exps):
     return tuple(exps)
+
+
+# the only key of a rank-11 character, whose orbit has 12! = 479,001,600 keys
+RANK11_KEY = tuple(range(11, -1, -1))
+
+
+def is_dominant(key):
+    """True for a weakly decreasing exponent tuple."""
+    return all(map(operator.ge, key, key[1:]))
 
 
 def all_pairs_product(a, b):
@@ -121,6 +130,14 @@ class TestGradedCharacter:
         assert sym.is_symmetric()
         assert not asym.is_symmetric()
         assert not missing.is_symmetric()
+        # every key carries its sorted key's coefficient, but (0, 1, 2) is absent
+        keys = set(itertools.permutations((2, 1, 0))) - {(0, 1, 2)}
+        gap = GradedCharacter(2, dict.fromkeys(keys, QPoly.q()))
+        assert not gap.is_symmetric()
+        # orbits are counted, not listed: listing this one would take hours
+        start = time.perf_counter()
+        assert not GradedCharacter(11, {RANK11_KEY: 1}).is_symmetric()
+        assert time.perf_counter() - start < 1.0
 
     def test_cancelled_coefficients_leave_no_key(self):
         a = GradedCharacter(1, {(1, 0): 1, (0, 1): 1})
@@ -431,6 +448,13 @@ class TestHomogeneousSum:
         assert _homogeneous_sum(2, [(ch, QPoly.zero())]).is_zero()
         assert _homogeneous_sum(2, []).is_zero()
 
+    def test_nonsymmetric_term_rejected(self):
+        theta = qwhittaker_char(Weight(2, (1, 1)))
+        lopsided = GradedCharacter(2, {(2, 1, 0): 1})
+        for terms in ([(theta, QPoly.one()), (lopsided, QPoly.q())], [(lopsided, 1)]):
+            with pytest.raises(ValueError):
+                _homogeneous_sum(2, terms)
+
     @pytest.mark.parametrize("second", [(1, 0), (2, 1)])
     def test_gap_must_be_nonnegative_multiple(self, second):
         # degrees 3 then 1 (a gap of 2), or 3 then 4 (a gap of -1)
@@ -537,8 +561,9 @@ class TestDecompose:
         ]
 
     def test_rejects_nonsymmetric(self):
-        with pytest.raises(DecompositionError):
-            decompose_weyl_basis(GradedCharacter(1, {(1, 0): 1}))
+        for n, key in ((1, (1, 0)), (11, RANK11_KEY)):
+            with pytest.raises(DecompositionError):
+                decompose_weyl_basis(GradedCharacter(n, {key: 1}))
 
     def test_rejects_non_character(self):
         with pytest.raises(TypeError):
@@ -684,11 +709,11 @@ class TestRowDominantTerms:
             row
             for length, top in ((2, 4), (3, 4), (4, 4), (5, 2))
             for row in itertools.product(range(top + 1), repeat=length)
-            if _is_dominant(row)
+            if is_dominant(row)
         ]
         assert len(rows) == 141
         for row in rows:
             n = len(row) - 1
             ch = pop_char(partition_to_weight(Partition(row), n)).det_twist(row[-1])
-            dominant = {k: p for k, p in ch.terms.items() if _is_dominant(k)}
+            dominant = {k: p for k, p in ch.terms.items() if is_dominant(k)}
             assert _row_dominant_terms(row) == dominant, row

@@ -44,6 +44,38 @@ class TestDim:
         assert blob["dimension"] == 9
         assert blob["rank"] == 2
 
+    @pytest.mark.parametrize(
+        "weight,estimate",
+        [("1000000,0", "477121"), ("99999999999999999999999,0", "4.77121e+22")],
+    )
+    def test_unprintable_dimension_refused(self, weight, estimate):
+        # 3^m has about m*log10(3) digits, over the default limit of 4300 for
+        # int-to-str; the child runs under a 1 GiB address-space cap, so a
+        # guard that computes first fails here instead of exhausting memory
+        child = (
+            "import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+            "from weylchar.cli import main; sys.exit(main())"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", child, "dim", "--rank", "2", "--weight", weight],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == (
+            "error: the dimension has about %s digits, over the 4300-digit limit"
+            " for printing\n" % estimate
+        )
+
+    def test_dimension_at_the_print_limit_prints(self):
+        # 3^9012 has 4300 digits, the most the default limit prints
+        out = run_cli("dim", "--rank", "2", "--weight", "9012,0")
+        assert out.returncode == 0
+        assert out.stdout == "%d\n" % 3**9012
+
 
 class TestChar:
     def test_plain_frozen(self):

@@ -213,6 +213,11 @@ class TestFusion:
         with pytest.raises(ValueError):
             fusion_dim(0, Weight(1, (1,)), zero, zero)
 
+    def test_float_rejected(self):
+        zero = w2(0, 0)
+        with pytest.raises(TypeError):
+            fusion_dim(1.5, zero, zero, zero)
+
     def test_frozen_recurrence_seeds(self):
         zero = w2(0, 0)
         om1, om2 = w2(1, 0), w2(0, 1)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylchar import (
+    BasisWord,
     GTPattern,
     POP,
     Partition,
@@ -157,6 +158,12 @@ class TestPOP:
         with pytest.raises(ValueError):
             POP(pattern, {(1, 1): ()})
 
+    @pytest.mark.parametrize("overlays", [{(1, 1): (0.9,)}, {(1.0, 1): (0,)}])
+    def test_float_rejected(self, overlays):
+        # cell (1,1) of this pattern takes one part, so a truncated 0.9 fits
+        with pytest.raises(TypeError):
+            POP(GTPattern([(1,), (2, 0)]), overlays)
+
     def test_r_data(self):
         # cell (1,1) has a = 3 parts bounded by b = 2
         pattern = GTPattern(((2,), (5, 0)))
@@ -248,6 +255,19 @@ class TestBasisWord:
         words = [basis_word(p) for p in pops]
         rendered = sorted(str(w) for w in words)
         assert rendered == ["(y[1,1] t^0)^1", "1"]
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            [((1.5, 1), {0.5: 1.9})],
+            [((1, 1.0), {0: 1})],
+            [((1, 1), {0.5: 1})],
+            [((1, 1), {0: 1.9})],
+        ],
+    )
+    def test_float_rejected(self, factors):
+        with pytest.raises(TypeError):
+            BasisWord(factors)
 
     def test_word_structure(self):
         pattern = GTPattern(((2,), (5, 0)))
