@@ -21,7 +21,12 @@ Every character the paper handles is symmetric, so its dominant terms
 determine it. _dominant_terms is the one symmetry test and split, and
 _orbit_fill the one way back. Full characters, products, the closed-form
 sums and the peel all cross this boundary; only a product with a
-nonsymmetric operand is multiplied pair by pair.
+nonsymmetric operand is multiplied pair by pair. An orbit fill carries the
+dominant terms it was filled from, so products, symmetry tests, sums and
+the peel read them instead of scanning again, and two orbit fills are
+equal exactly when their dominant terms are. The scan still runs on
+constructor input, on results of pairwise arithmetic (+, -, scalar *) and
+on a nonsymmetric operand.
 """
 
 from __future__ import annotations
@@ -57,9 +62,14 @@ class GradedCharacter:
     `terms` maps each exponent tuple to a nonzero QPoly. Treat it as
     read-only: a character filled in from its dominant terms holds a
     read-only view, and one built by the branching rule is cached.
+
+    Only such an orbit fill also carries its dominant terms, read-only, in
+    `_dominant`; every other character carries None and is scanned when its
+    dominant terms are needed. Equality compares the dominant terms when
+    both sides carry them, and every term otherwise.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_dominant")
 
     def __init__(self, n, terms=None):
         n = operator.index(n)
@@ -69,6 +79,7 @@ class GradedCharacter:
         data = _accumulate({}, _checked_terms(n, items))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", data)
+        object.__setattr__(self, "_dominant", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedCharacter is immutable")
@@ -124,7 +135,7 @@ class GradedCharacter:
         if not isinstance(other, GradedCharacter):
             return NotImplemented
         self._check_rank(other)
-        dominant = _dominant_terms(self.terms)
+        dominant = _dominant_of(self)
         if dominant is not None and other.is_symmetric():
             return _orbit_fill(self.n, _symmetric_product(dominant, other.terms))
         pairs = itertools.product(self.terms.items(), other.terms.items())
@@ -170,14 +181,14 @@ class GradedCharacter:
 
     def is_symmetric(self):
         """True when invariant under all permutations of the variables."""
-        return _dominant_terms(self.terms) is not None
+        return _dominant_of(self) is not None
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GradedCharacter)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
+        if not isinstance(other, GradedCharacter) or self.n != other.n:
+            return False
+        if self._dominant is not None and other._dominant is not None:
+            return self._dominant == other._dominant
+        return self.terms == other.terms
 
     def __repr__(self):
         return "GradedCharacter(%d, %d terms)" % (self.n, len(self.terms))
@@ -195,6 +206,7 @@ class GradedCharacter:
 _new_object = object.__new__
 _set_n = GradedCharacter.n.__set__
 _set_terms = GradedCharacter.terms.__set__
+_set_dominant = GradedCharacter._dominant.__set__
 
 
 def _wrap_char(n, terms):
@@ -202,11 +214,13 @@ def _wrap_char(n, terms):
 
     Results of internal arithmetic come through here; only the public
     constructor validates keys and merges repeated ones. The dict is not
-    copied, so it must not be written to afterwards.
+    copied, so it must not be written to afterwards. The character carries
+    no dominant terms; only _orbit_fill attaches them.
     """
     ch = _new_object(GradedCharacter)
     _set_n(ch, n)
     _set_terms(ch, terms)
+    _set_dominant(ch, None)
     return ch
 
 
@@ -266,13 +280,24 @@ def _dominant_terms(terms):
     return dominant if size == len(terms) else None
 
 
+def _dominant_of(ch):
+    """Dominant terms of ch: those an orbit fill carries, else a scan."""
+    dominant = ch._dominant
+    return _dominant_terms(ch.terms) if dominant is None else dominant
+
+
 def _orbit_fill(n, dominant):
     """The read-only symmetric character with these dominant terms.
 
     The one orbit fill: each coefficient is shared by every key of its orbit.
+    The character carries a read-only view of `dominant`, which must hold
+    dominant keys and nonzero coefficients only and not be written to
+    afterwards.
     """
     data = {perm: coeff for key, coeff in dominant.items() for perm in _orbit(key)}
-    return _wrap_char(n, MappingProxyType(data))
+    ch = _wrap_char(n, MappingProxyType(data))
+    _set_dominant(ch, MappingProxyType(dominant))
+    return ch
 
 
 def _symmetric_product(dominant, b):
@@ -314,7 +339,7 @@ def _homogeneous_sum(n, terms):
     for ch, coeff in terms:
         if not coeff or not ch.terms:
             continue
-        dominant = _dominant_terms(ch.terms)
+        dominant = _dominant_of(ch)
         if dominant is None:
             raise ValueError("a term of the sum is not a symmetric character")
         own = sum(next(iter(dominant)))
@@ -362,16 +387,26 @@ def qwhittaker_partition_char(p, n):
     column to the bottom row twists by the determinant and leaves every
     psi unchanged.
     """
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError("rank must be a positive integer")
     if not isinstance(p, Partition):
         p = Partition(p)
+    _check_rows(p, n + 1)
     return _partition_char_cached(p.parts, n)
 
 
 @functools.lru_cache(maxsize=None)
 def _partition_char_cached(parts, n):
-    if n < 1:
-        raise ValueError("rank must be a positive integer")
     return _orbit_fill(n, _row_dominant_terms(Partition(parts).padded(n + 1)))
+
+
+def _check_rows(p, rows):
+    """RankMismatchError unless the partition p has at most `rows` parts."""
+    if p.length() > rows:
+        raise RankMismatchError(
+            "partition with %d rows does not fit in %d variables" % (p.length(), rows)
+        )
 
 
 @functools.lru_cache(maxsize=None)
@@ -511,6 +546,7 @@ def product_onerow(m, mu, rank):
 
         [m a]_q (q; q)_{m-a} prod_{i=2}^{rank+1} [mu_{i-1} - mu_i  lam_i - mu_i]_q.
     """
+    m, rank = operator.index(m), operator.index(rank)
     if rank < 1:
         raise ValueError("rank must be a positive integer")
     if not isinstance(mu, Partition):
@@ -518,10 +554,7 @@ def product_onerow(m, mu, rank):
     if m < 0:
         raise ValueError("strip size must be nonnegative")
     rows = rank + 1
-    if mu.length() > rows:
-        raise RankMismatchError(
-            "partition with %d rows does not fit in %d variables" % (mu.length(), rows)
-        )
+    _check_rows(mu, rows)
     mu_p = mu.padded(rows)
     out = []
     for lam in _horizontal_strips(mu_p, m):
@@ -655,13 +688,16 @@ def decompose_weyl_basis(f):
     The remainder is kept on dominant keys only: the remainder of a
     symmetric input stays symmetric, so its dominant coefficients determine
     it. Each step subtracts the leader's dominant terms straight from the
-    row memo, so no leader's full character is built or cached.
+    row memo, so no leader's full character is built or cached. The
+    remainder starts as a copy: the dominant terms an orbit fill carries
+    may be that memo's own entry.
     """
     if not isinstance(f, GradedCharacter):
         raise TypeError("decompose_weyl_basis expects a GradedCharacter")
-    remainder = _dominant_terms(f.terms)
-    if remainder is None:
+    dominant = _dominant_of(f)
+    if dominant is None:
         raise DecompositionError("input is not a symmetric function")
+    remainder = dict(dominant)
     n = f.n
     out = []
     seen = set()

@@ -187,6 +187,7 @@ def extract_filtration(m, k, family, rank=2):
     """
     if family not in ("truncated", "m_module_first", "m_module_last"):
         raise ValueError("unknown filtration family %r" % (family,))
+    m, k, rank = operator.index(m), operator.index(k), operator.index(rank)
     if rank < 2:
         raise RankMismatchError("tensor-product filtrations require rank >= 2")
     if m < 0 or k < 0:

@@ -32,6 +32,7 @@ from weylchar import (
     truncated_char,
     weight_to_bounding_partition,
 )
+from weylchar import charformulas
 from weylchar.charformulas import (
     _homogeneous_sum,
     _orbit,
@@ -223,6 +224,97 @@ class TestGradedCharacter:
         assert ch.total_degree() == 2
 
 
+class ScanCalled(Exception):
+    """Raised by a stand-in for the symmetry scan."""
+
+
+class TestCarriedDominantTerms:
+    """Orbit fills carry their dominant terms; nothing else does."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_equality_is_equality_of_terms(self, data):
+        n = data.draw(st.integers(1, 3))
+        weights = st.tuples(*(st.integers(0, 2) for _ in range(n))).map(
+            lambda coeffs: Weight(n, coeffs)
+        )
+
+        def draw_fill():
+            kind = data.draw(
+                st.sampled_from(("weyl", "product", "truncated")[: 2 + (n >= 2)])
+            )
+            if kind == "weyl":
+                return qwhittaker_char(data.draw(weights))
+            if kind == "product":
+                return qwhittaker_char(data.draw(weights)) * qwhittaker_char(
+                    data.draw(weights)
+                )
+            a, b = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+            lam = Weight(n, (a,) + (0,) * (n - 2) + (b,))
+            return truncated_char(lam, data.draw(st.integers(0, min(a, b))))
+
+        def draw_variant(ch):
+            how = data.draw(st.sampled_from(("fill", "copy", "near-fill", "near-copy")))
+            if how == "fill":
+                return ch
+            if how == "copy":
+                return GradedCharacter(n, dict(ch.terms))
+            sign = data.draw(st.sampled_from((1, -1)))
+            bump = QPoly({data.draw(st.integers(0, 3)): sign})
+            if how == "near-fill":
+                # the orbit of one dominant key shifted by +-q^k, still an orbit fill
+                dominant = sorted(k for k in ch.terms if is_dominant(k))
+                key = data.draw(st.sampled_from(dominant))
+                terms = [(ch, QPoly.one()), (orbit_sum(n, key), bump)]
+                return _homogeneous_sum(n, terms)
+            # one coefficient shifted by +-q^k, possibly off the dominant cone
+            key = data.draw(st.sampled_from(sorted(ch.terms)))
+            terms = dict(ch.terms)
+            terms[key] = terms[key] + bump
+            return GradedCharacter(n, terms)
+
+        base = draw_fill()
+        a = draw_variant(base)
+        b = draw_variant(base if data.draw(st.booleans()) else draw_fill())
+        same = dict(a.terms) == dict(b.terms)
+        assert (a == b) is same
+        assert (b == a) is same
+
+    def test_peel_copies_carried_terms(self):
+        # qwhittaker_char(w) carries the row memo's own entry: a peel that
+        # wrote to it would spoil every later character of that row
+        w = Weight(2, (2, 1))
+        row = weight_to_bounding_partition(w).padded(3)
+        memo = dict(_row_dominant_terms(row))
+        terms = dict(qwhittaker_char(w).terms)
+        for _ in range(2):
+            assert decompose_weyl_basis(qwhittaker_char(w)) == [(w, QPoly.one())]
+        assert _row_dominant_terms(row) == memo
+        assert qwhittaker_char(w).terms == terms
+
+    def test_orbit_fills_skip_the_scan(self, monkeypatch):
+        a = qwhittaker_char(Weight(2, (2, 1)))
+        b = truncated_char(Weight(2, (1, 1)), 1)
+        theta = qwhittaker_char(Weight(2, (1, 1)))
+        expected = all_pairs_product(a, b)
+        expected_sum = expected + all_pairs_product(theta, a) * QPoly.q()
+
+        def no_scan(terms):
+            raise ScanCalled
+
+        monkeypatch.setattr(charformulas, "_dominant_terms", no_scan)
+        product = a * b
+        assert product == expected
+        assert a == qwhittaker_char(Weight(2, (2, 1)))
+        assert not a == b
+        assert product.is_symmetric()
+        total = _homogeneous_sum(2, [(product, QPoly.one()), (theta * a, QPoly.q())])
+        assert total == expected_sum
+        # constructor input carries nothing and is still scanned
+        with pytest.raises(ScanCalled):
+            GradedCharacter(2, a.terms).is_symmetric()
+
+
 class TestQWhittaker:
     def test_rank1_frozen(self):
         ch = qwhittaker_char(Weight(1, (2,)))
@@ -252,6 +344,18 @@ class TestQWhittaker:
 
     def test_symmetric(self):
         assert qwhittaker_char(Weight(2, (2, 1))).is_symmetric()
+
+    def test_float_rank_rejected(self):
+        # the rank is read before the cache lookup, so a warm cache answers
+        # no differently from a cold one
+        qwhittaker_partition_char((1,), 2)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            qwhittaker_partition_char((1,), 2.0)
+
+    def test_too_many_parts(self):
+        qwhittaker_partition_char((1, 1, 1), 2)
+        with pytest.raises(RankMismatchError, match="4 rows does not fit in 3"):
+            qwhittaker_partition_char((1, 1, 1, 1), 2)
 
     @pytest.mark.parametrize(
         "key",
@@ -381,6 +485,11 @@ class TestPieri:
     def test_too_many_rows(self):
         with pytest.raises(RankMismatchError):
             product_onerow(1, Partition((1, 1, 1)), 1)
+
+    def test_float_rank_rejected(self):
+        product_onerow(1, Partition((1,)), 2)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            product_onerow(1, Partition((1,)), 2.0)
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     @pytest.mark.parametrize("m", [0, 1, 2, 3])

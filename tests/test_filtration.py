@@ -116,6 +116,13 @@ class TestFiltrationLayers:
         with pytest.raises(RankMismatchError):
             extract_filtration(1, 1, "truncated", rank=1)
 
+    @pytest.mark.parametrize("family", ["truncated", "m_module_first", "m_module_last"])
+    @pytest.mark.parametrize("args", [(2.5, 1, 2), (2, 1.0, 2), (2, 1, 2.0)])
+    def test_float_parameters_rejected(self, family, args):
+        m, k, rank = args
+        with pytest.raises(TypeError):
+            extract_filtration(m, k, family, rank)
+
     def test_layer_data(self):
         layers = extract_filtration(3, 2, "truncated")
         assert [layer.index for layer in layers] == [0, 1, 2]
