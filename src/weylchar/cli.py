@@ -111,8 +111,9 @@ def _cmd_dim(args):
     lam = _weight_arg(args)
     # refuse, before computing, a dimension too long to print: its digit
     # count is about sum_i m_i log10 C(n+1, i), and a margin of one digit
-    # keeps every printable dimension
-    limit = sys.get_int_max_str_digits()
+    # keeps every printable dimension; a Python without the limit (before
+    # 3.10.7) prints any length, as does a limit of 0
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     digits = sum(
         m * math.log10(math.comb(lam.n + 1, i)) for i, m in enumerate(lam.coeffs, 1)
     )

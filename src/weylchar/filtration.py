@@ -9,7 +9,10 @@ W(m omega_1) tensor W(k omega_n), M modules for the two squares), and the
 filtration checks sum exactly those published layers (layer character
 times multiplicity, det-twisted to the product's total degree). The
 fusion-side functions check the rank-2 dimension recurrences of the
-fusion modules M_j.
+fusion modules M_j: each case generator states a recurrence's hypothesis
+once, beside the case, and yields a skip for it when the hypothesis fails,
+after the applicable cases of that grid point; one driver turns the cases
+of both grids into reports.
 """
 
 from __future__ import annotations
@@ -212,6 +215,17 @@ def extract_filtration(m, k, family, rank=2):
 # rank-2 fusion modules M_j(lambda_1, lambda_2, lambda_3)
 
 
+def _w(a, b):
+    return Weight(2, (a, b))
+
+
+def _h(lam, i):
+    return lam.coeffs[i - 1]
+
+
+_ZERO, _OM1, _OM2, _THETA = _w(0, 0), _w(1, 0), _w(0, 1), _w(1, 1)
+
+
 def fusion_dim(j, lam1, lam2, lam3):
     """Dimension 10^{lam3(h_theta)} 6^{lam2(h_theta)} 3^{lam1(h_theta)} 8^j.
 
@@ -263,156 +277,124 @@ class XiTuple:
         return Partition(parts)
 
     def size_ok(self):
-        target = (
-            self.lam1
-            + 2 * self.lam2
-            + 3 * self.lam3
-            + self.j * Weight(2, (1, 1))
-        )
+        target = self.lam1 + 2 * self.lam2 + 3 * self.lam3 + self.j * _THETA
         return all(
             self.xi(alpha).size() == pairing(target, alpha)
             for alpha in (Root(1, 1), Root(2, 2), Root(1, 2))
         )
 
 
-def _w(a, b):
-    return Weight(2, (a, b))
-
-
-def _h(lam, i):
-    return lam.coeffs[i - 1]
-
-
 def _fusion_recurrence_cases(lam2, lam3, max_j):
-    """Yield (name, params, lhs_dim, rhs_dim) for every applicable recurrence.
+    """Yield (case, extra params, lhs_dim, rhs_dim, skip reason) per case.
 
     Each case states dim M_j(...) as a sum of layer dimensions of a short
-    exact sequence or two-step filtration; hypotheses that fail yield skips
-    at the call site.
+    exact sequence or two-step filtration, with skip reason None. A case
+    whose hypothesis fails yields its own skip (dimensions None, the
+    reason set) after every applicable case of this (lam2, lam3).
     """
-    om1, om2 = _w(1, 0), _w(0, 1)
-    zero = _w(0, 0)
-    theta = _w(1, 1)
-
+    skips = []
     # j = 1, lam1 = 0, lam2(h_1) >= 1: two layers
     if _h(lam2, 1) >= 1:
-        lhs = fusion_dim(1, zero, lam2, lam3)
-        rhs = fusion_dim(0, om1, lam2 - om1 + om2, lam3) + fusion_dim(
-            0, om2, lam2 - om1, lam3 + om1
+        lhs = fusion_dim(1, _ZERO, lam2, lam3)
+        rhs = fusion_dim(0, _OM1, lam2 - _OM1 + _OM2, lam3) + fusion_dim(
+            0, _OM2, lam2 - _OM1, lam3 + _OM1
         )
-        yield "j1_lambda1_zero", {}, lhs, rhs
+        yield "j1_lambda1_zero", {}, lhs, rhs, None
+    else:
+        skips.append(("j1_lambda1_zero", {}, None, None, "needs lam2(h_1) >= 1"))
     # j = 1, lam1 = omega_1: two layers
-    lhs = fusion_dim(1, om1, lam2, lam3)
-    rhs = fusion_dim(0, zero, lam2 + om2, lam3) + fusion_dim(0, om2, lam2 + om1, lam3)
-    yield "j1_lambda1_omega1", {}, lhs, rhs
+    lhs = fusion_dim(1, _OM1, lam2, lam3)
+    rhs = fusion_dim(0, _ZERO, lam2 + _OM2, lam3) + fusion_dim(
+        0, _OM2, lam2 + _OM1, lam3
+    )
+    yield "j1_lambda1_omega1", {}, lhs, rhs, None
     # mirrors of the two j = 1 cases (second fundamental direction)
     if _h(lam2, 2) >= 1:
-        lhs = fusion_dim(1, zero, lam2, lam3)
-        rhs = fusion_dim(0, om2, lam2 - om2 + om1, lam3) + fusion_dim(
-            0, om1, lam2 - om2, lam3 + om2
+        lhs = fusion_dim(1, _ZERO, lam2, lam3)
+        rhs = fusion_dim(0, _OM2, lam2 - _OM2 + _OM1, lam3) + fusion_dim(
+            0, _OM1, lam2 - _OM2, lam3 + _OM2
         )
-        yield "j1_lambda1_zero_mirror", {}, lhs, rhs
-    lhs = fusion_dim(1, om2, lam2, lam3)
-    rhs = fusion_dim(0, zero, lam2 + om1, lam3) + fusion_dim(0, om1, lam2 + om2, lam3)
-    yield "j1_lambda1_omega2_mirror", {}, lhs, rhs
+        yield "j1_lambda1_zero_mirror", {}, lhs, rhs, None
+    else:
+        skips.append(
+            ("j1_lambda1_zero_mirror", {}, None, None, "needs lam2(h_2) >= 1")
+        )
+    lhs = fusion_dim(1, _OM2, lam2, lam3)
+    rhs = fusion_dim(0, _ZERO, lam2 + _OM1, lam3) + fusion_dim(
+        0, _OM1, lam2 + _OM2, lam3
+    )
+    yield "j1_lambda1_omega2_mirror", {}, lhs, rhs, None
 
     for j in range(2, max_j + 1):
         # j >= 2, lam1 = 0: three layers
-        lhs = fusion_dim(j, zero, lam2, lam3)
+        lhs = fusion_dim(j, _ZERO, lam2, lam3)
         rhs = (
-            fusion_dim(j - 2, zero, lam2 + theta, lam3)
-            + fusion_dim(j - 2, om2, lam2 + om2, lam3)
-            + fusion_dim(j - 2, zero, lam2, lam3 + om1)
+            fusion_dim(j - 2, _ZERO, lam2 + _THETA, lam3)
+            + fusion_dim(j - 2, _OM2, lam2 + _OM2, lam3)
+            + fusion_dim(j - 2, _ZERO, lam2, lam3 + _OM1)
         )
-        yield "jgeq2_lambda1_zero", {"j": j}, lhs, rhs
+        yield "jgeq2_lambda1_zero", {"j": j}, lhs, rhs, None
         # j >= 2, lam1 = omega_1: three layers
-        lhs = fusion_dim(j, om1, lam2, lam3)
+        lhs = fusion_dim(j, _OM1, lam2, lam3)
         rhs = (
-            fusion_dim(j - 2, om1, lam2 + theta, lam3)
-            + fusion_dim(j - 1, zero, lam2 + om2, lam3)
-            + fusion_dim(j - 2, zero, lam2 + 2 * om1, lam3)
+            fusion_dim(j - 2, _OM1, lam2 + _THETA, lam3)
+            + fusion_dim(j - 1, _ZERO, lam2 + _OM2, lam3)
+            + fusion_dim(j - 2, _ZERO, lam2 + 2 * _OM1, lam3)
         )
-        yield "jgeq2_lambda1_omega1", {"j": j}, lhs, rhs
+        yield "jgeq2_lambda1_omega1", {"j": j}, lhs, rhs, None
+    yield from skips
 
 
 def _fusion_lam3_zero_cases(lam1, lam2, max_j):
-    """Recurrences for lam3 = 0 and lam1(h_1) >= 1 (arbitrary dominant lam1)."""
-    om1, om2 = _w(1, 0), _w(0, 1)
-    zero = _w(0, 0)
-    theta = _w(1, 1)
+    """Recurrences for lam3 = 0 and lam1(h_1) >= 1 (arbitrary dominant lam1).
+
+    Yields the same tuples as _fusion_recurrence_cases; when lam1(h_1) = 0
+    the whole family is one skip, case "lambda3_zero".
+    """
     if _h(lam1, 1) < 1:
+        yield "lambda3_zero", {}, None, None, "needs lam1(h_1) >= 1"
         return
-    lhs = fusion_dim(1, lam1, lam2, zero)
-    rhs = fusion_dim(0, lam1 - om1, lam2 + om2, zero) + fusion_dim(
-        0, lam1 - om1 + om2, lam2 + om1, zero
+    lhs = fusion_dim(1, lam1, lam2, _ZERO)
+    rhs = fusion_dim(0, lam1 - _OM1, lam2 + _OM2, _ZERO) + fusion_dim(
+        0, lam1 - _OM1 + _OM2, lam2 + _OM1, _ZERO
     )
-    yield "lambda3_zero_j1", {}, lhs, rhs
+    yield "lambda3_zero_j1", {}, lhs, rhs, None
     for j in range(2, max_j + 1):
-        lhs = fusion_dim(j, lam1, lam2, zero)
+        lhs = fusion_dim(j, lam1, lam2, _ZERO)
         rhs = (
-            fusion_dim(j - 2, lam1, lam2 + theta, zero)
-            + fusion_dim(j - 1, lam1 - om1, lam2 + om2, zero)
-            + fusion_dim(j - 2, lam1 - om1, lam2 + 2 * om1, zero)
+            fusion_dim(j - 2, lam1, lam2 + _THETA, _ZERO)
+            + fusion_dim(j - 1, lam1 - _OM1, lam2 + _OM2, _ZERO)
+            + fusion_dim(j - 2, lam1 - _OM1, lam2 + 2 * _OM1, _ZERO)
         )
-        yield "lambda3_zero_jgeq2", {"j": j}, lhs, rhs
+        yield "lambda3_zero_jgeq2", {"j": j}, lhs, rhs, None
 
 
 def verify_fusion_recurrences(max_pairing=3, max_j=4):
     """Check every fusion dimension recurrence over a grid of weights.
 
-    Sweeps rank-2 dominant lam2, lam3 with lam2(h_theta), lam3(h_theta) <=
-    max_pairing and j <= max_j; inapplicable hypotheses are reported as
-    skips so the grid is visibly covered.
+    Sweeps rank-2 dominant lam2, lam3 (then lam1, lam2 for the lam3 = 0
+    family) with pairings with theta <= max_pairing and j <= max_j. Each
+    case reports its own inapplicable hypothesis as a skip, after the
+    applicable cases of its grid point, so the grid is visibly covered.
     """
-    reports = []
     grid = [
         _w(a, b)
         for a in range(max_pairing + 1)
         for b in range(max_pairing + 1)
         if a + b <= max_pairing
     ]
-    for lam2, lam3 in itertools.product(grid, grid):
-        base = {"lam2": list(lam2.coeffs), "lam3": list(lam3.coeffs)}
-        produced = set()
-        for name, extra, lhs, rhs in _fusion_recurrence_cases(lam2, lam3, max_j):
-            produced.add(name)
-            reports.append(
-                _report(
-                    "fusion-recurrences", {**base, **extra, "case": name}, lhs == rhs
+    reports = []
+    for cases, names in (
+        (_fusion_recurrence_cases, ("lam2", "lam3")),
+        (_fusion_lam3_zero_cases, ("lam1", "lam2")),
+    ):
+        for first, second in itertools.product(grid, grid):
+            base = {names[0]: list(first.coeffs), names[1]: list(second.coeffs)}
+            for case, extra, lhs, rhs, reason in cases(first, second, max_j):
+                params = {**base, **extra, "case": case}
+                reports.append(
+                    _report("fusion-recurrences", params, lhs == rhs)
+                    if reason is None
+                    else _skip("fusion-recurrences", params, reason)
                 )
-            )
-        if "j1_lambda1_zero" not in produced:
-            reports.append(
-                _skip(
-                    "fusion-recurrences",
-                    {**base, "case": "j1_lambda1_zero"},
-                    "needs lam2(h_1) >= 1",
-                )
-            )
-        if "j1_lambda1_zero_mirror" not in produced:
-            reports.append(
-                _skip(
-                    "fusion-recurrences",
-                    {**base, "case": "j1_lambda1_zero_mirror"},
-                    "needs lam2(h_2) >= 1",
-                )
-            )
-    for lam1, lam2 in itertools.product(grid, grid):
-        base = {"lam1": list(lam1.coeffs), "lam2": list(lam2.coeffs)}
-        produced = False
-        for name, extra, lhs, rhs in _fusion_lam3_zero_cases(lam1, lam2, max_j):
-            produced = True
-            reports.append(
-                _report(
-                    "fusion-recurrences", {**base, **extra, "case": name}, lhs == rhs
-                )
-            )
-        if not produced:
-            reports.append(
-                _skip(
-                    "fusion-recurrences",
-                    {**base, "case": "lambda3_zero"},
-                    "needs lam1(h_1) >= 1",
-                )
-            )
     return reports

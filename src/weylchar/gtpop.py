@@ -356,13 +356,6 @@ def basis_word(pop):
     The total power of y_{ij} is the overlay's part count, so its t-degree
     is the overlay's box count and the word degree is the POP grade.
     """
-    n = pop.pattern.n
-    factors = []
-    for j, i in cells(n):
-        parts = pop.overlays[(j, i)]
-        powers = {}
-        for s in parts:
-            powers[s] = powers.get(s, 0) + 1
-        if powers:
-            factors.append(((i, j), powers))
-    return BasisWord(factors)
+    return BasisWord(
+        ((i, j), pop.r_data(j, i)) for j, i in cells(pop.pattern.n) if pop.overlay(j, i)
+    )

@@ -20,6 +20,7 @@ class Weight:
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n, coeffs):
+        n = operator.index(n)
         if n < 1:
             raise ValueError("rank must be a positive integer")
         coeffs = tuple(map(operator.index, coeffs))
@@ -40,6 +41,7 @@ class Weight:
     @classmethod
     def fundamental(cls, n, i):
         """omega_i in rank n."""
+        i = operator.index(i)
         if not 1 <= i <= n:
             raise ValueError("fundamental weight index out of range")
         return cls(n, tuple(1 if k == i else 0 for k in range(1, n + 1)))

@@ -91,6 +91,14 @@ class TestGradedCharacter:
         with pytest.raises(TypeError):
             GradedCharacter(2.0)
 
+    def test_immutable(self):
+        with pytest.raises(AttributeError, match="GradedCharacter is immutable"):
+            GradedCharacter.one(1).n = 2
+
+    def test_char_multiply_needs_characters(self):
+        with pytest.raises(TypeError, match="expects two GradedCharacter operands"):
+            char_multiply(GradedCharacter.one(1), 2)
+
     @pytest.mark.parametrize("coeff", [1.5, "x"])
     def test_non_polynomial_coefficient_rejected(self, coeff):
         with pytest.raises(TypeError):
@@ -335,6 +343,15 @@ class TestQWhittaker:
     def test_requires_dominant(self):
         with pytest.raises(ValueError):
             qwhittaker_char(Weight(2, (1, -1)))
+        # so do both oracles
+        with pytest.raises(ValueError, match="POP characters require a dominant"):
+            pop_char(Weight(2, (-1, 1)))
+        with pytest.raises(ValueError, match="irreducible characters require"):
+            irreducible_char(Weight(2, (-1, 1)))
+
+    def test_rank_must_be_positive(self):
+        with pytest.raises(ValueError, match="rank must be a positive integer"):
+            qwhittaker_partition_char((1,), 0)
 
     def test_det_column_invariance(self):
         # adding a full column multiplies by the determinant, q-structure fixed
@@ -486,6 +503,10 @@ class TestPieri:
         with pytest.raises(RankMismatchError):
             product_onerow(1, Partition((1, 1, 1)), 1)
 
+    def test_negative_strip_rejected(self):
+        with pytest.raises(ValueError, match="strip size must be nonnegative"):
+            product_onerow(-1, (1,), 2)
+
     def test_float_rank_rejected(self):
         product_onerow(1, Partition((1,)), 2)
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
@@ -518,6 +539,10 @@ class TestTensorFundamental:
     def test_bad_variant(self):
         with pytest.raises(ValueError):
             tensor_char_fundamental("omega2_omega2", 1, 1, 2)
+
+    def test_negative_parameter_rejected(self):
+        with pytest.raises(ValueError, match="module parameters must be nonnegative"):
+            tensor_char_fundamental("omega1_omegan", -1, 1, 2)
 
     def test_collapses_to_single_factor(self):
         assert tensor_char_fundamental("omega1_omega1", 2, 0, 2) == qwhittaker_char(
@@ -586,6 +611,10 @@ class TestTruncated:
         with pytest.raises(ValueError):
             truncated_char(Weight(2, (2, 1)), -1)
 
+    def test_requires_dominant(self):
+        with pytest.raises(ValueError, match="the highest weight must be dominant"):
+            truncated_char(Weight(2, (-1, 1)), 0)
+
     def test_j0_is_local(self):
         for lam in (Weight(2, (2, 1)), Weight(3, (2, 0, 1))):
             assert truncated_char(lam, 0) == qwhittaker_char(lam)
@@ -630,6 +659,10 @@ class TestMModule:
             m_module_char(Weight(3, (0, 1, 1)), 1, "first")
         with pytest.raises(ValueError):
             m_module_char(Weight(3, (1, 1, 0)), 1, "last")
+        with pytest.raises(ValueError, match="lam_scale must be nonnegative"):
+            m_module_char(Weight(2, (1, 0)), -1, "first")
+        with pytest.raises(ValueError, match="nu must be dominant"):
+            m_module_char(Weight(2, (-1, 0)), 1, "first")
 
     def test_scale_zero_collapses(self):
         nu = Weight(2, (1, 2))

@@ -9,6 +9,8 @@ import sys
 
 import pytest
 
+from weylchar import cli
+
 
 def run_cli(*args, stdin=None):
     return subprocess.run(
@@ -69,6 +71,12 @@ class TestDim:
             "error: the dimension has about %s digits, over the 4300-digit limit"
             " for printing\n" % estimate
         )
+
+    def test_without_the_print_limit(self, monkeypatch, capsys):
+        # Python before 3.10.7 has no int-to-str limit and no way to read it
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert cli.run(["dim", "--rank", "2", "--weight", "1,1"]) == 0
+        assert capsys.readouterr().out == "9\n"
 
     def test_dimension_at_the_print_limit_prints(self):
         # 3^9012 has 4300 digits, the most the default limit prints

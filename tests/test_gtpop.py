@@ -53,6 +53,18 @@ class TestGTPattern:
         with pytest.raises(TypeError):
             GTPattern([(1.5,), (2, 1)])
 
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ([(1,), (1, 2)], "bottom row must be weakly decreasing"),
+            ([(0,), (0, -1)], "entries must be nonnegative"),
+            ([], "pattern needs at least one row"),
+        ],
+    )
+    def test_rows_validated(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            GTPattern(rows)
+
     def test_accessors(self):
         p = GTPattern(((1,), (2, 0), (2, 1, 0)))
         assert p.n == 2
@@ -76,6 +88,10 @@ class TestEnumerateGT:
         pats = enumerate_gt(Weight(2, (1, 1)), 2)
         keys = [tuple(itertools.chain.from_iterable(p.rows)) for p in pats]
         assert keys == sorted(keys)
+
+    def test_weight_rank_must_match(self):
+        with pytest.raises(ValueError, match="weight rank does not match"):
+            enumerate_gt(Weight(3, (1, 0, 0)), 2)
 
     def test_accepts_partition_and_tuple(self):
         by_weight = enumerate_gt(Weight(2, (1, 1)), 2)
@@ -152,6 +168,9 @@ class TestPOP:
             POP(pattern, {(1, 1): (1, 0)})
         pop = POP(pattern, {(1, 1): (0, 0)})
         assert pop.box_count(1, 1) == 0
+        # cell (1,1) of this pattern takes 2 parts, each at most 1
+        with pytest.raises(ValueError, match="overlay parts must be weakly decreasing"):
+            POP(GTPattern([(1,), (3, 0)]), {(1, 1): (0, 1)})
 
     def test_missing_cell_rejected(self):
         pattern = GTPattern(((1,), (1, 0), (1, 0, 0)))
@@ -175,6 +194,8 @@ class TestPOP:
         assert pop_count(Weight(1, (2,))) == 4
         assert pop_count(Weight(2, (1, 1))) == 9
         assert pop_count(Weight(3, (2, 0, 1))) == 64
+        with pytest.raises(ValueError, match="POPs are indexed by dominant weights"):
+            pop_count(Weight(2, (-1, 0)))
 
     @given(small_dominant(max_sum=3))
     @settings(max_examples=20, deadline=None)
@@ -269,6 +290,12 @@ class TestBasisWord:
         with pytest.raises(TypeError):
             BasisWord(factors)
 
+    def test_factors_validated(self):
+        with pytest.raises(ValueError, match="root indices must satisfy 1 <= i <= j"):
+            BasisWord([((2, 1), {0: 1})])
+        with pytest.raises(ValueError, match="multiplicities >= 1"):
+            BasisWord([((1, 1), {0: 0})])
+
     def test_word_structure(self):
         pattern = GTPattern(((2,), (5, 0)))
         pop = POP(pattern, {(1, 1): (2, 2, 0)})
@@ -308,3 +335,16 @@ class TestCellBounds:
             for j, i in cells(lam.n):
                 a, b = cell_bounds(pattern, j, i)
                 assert a >= 0 and b >= 0
+
+
+@pytest.mark.parametrize(
+    "obj,attr",
+    [
+        (GTPattern([(0,), (1, 0)]), "rows"),
+        (lowest_weight_pop(Weight(1, (1,))), "pattern"),
+        (BasisWord([]), "factors"),
+    ],
+)
+def test_immutable(obj, attr):
+    with pytest.raises(AttributeError, match="%s is immutable" % type(obj).__name__):
+        setattr(obj, attr, None)

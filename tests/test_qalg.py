@@ -38,6 +38,14 @@ class TestQPoly:
                 op()
         assert 3 - p == QPoly({0: 2, 1: -1})
 
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
+            QPoly.one() ** -1
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError, match="QPoly is immutable"):
+            QPoly.one().coeffs = (2,)
+
     @pytest.mark.parametrize("c", [0, 5, -2])
     def test_constant_hashes_as_int(self, c):
         assert QPoly.const(c) == c
@@ -254,6 +262,10 @@ class TestGradeShift:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             grade_shift(QPoly.one(), -1)
+
+    def test_non_polynomial_rejected(self):
+        with pytest.raises(TypeError, match="grade_shift expects a QPoly"):
+            grade_shift(1, 2)
 
     @given(st.dictionaries(st.integers(0, 8), st.integers(-9, 9), max_size=6),
            st.integers(0, 6))

@@ -38,6 +38,17 @@ class TestWeight:
         with pytest.raises(TypeError):
             Weight(2, (1.5, 0))
 
+    @pytest.mark.parametrize("rank", [2.5, 2.0])
+    def test_float_rank_rejected(self, rank):
+        # refused even when integral: 2.0 would build a weight equal to the
+        # int one
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            Weight(rank, (1, 1))
+
+    def test_float_fundamental_index_rejected(self):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            Weight.fundamental(3, 2.5)
+
     def test_arithmetic(self):
         a = Weight(2, (1, 0))
         b = Weight(2, (0, 1))
@@ -48,6 +59,8 @@ class TestWeight:
     def test_add_rank_check(self):
         with pytest.raises(RankMismatchError):
             Weight(2, (1, 0)) + Weight(3, (1, 0, 0))
+        with pytest.raises(RankMismatchError, match="subtract weights of different"):
+            Weight(2, (1, 0)) - Weight(3, (1, 0, 0))
 
     def test_dominant(self):
         assert Weight(2, (0, 0)).is_dominant()
@@ -235,3 +248,12 @@ class TestDominance:
             if dominance_leq(p, r) and p != r:
                 length = max(p.length(), r.length())
                 assert p.padded(length) < r.padded(length)
+
+
+@pytest.mark.parametrize(
+    "obj,attr",
+    [(Weight(2, (1, 0)), "n"), (Root(1, 2), "i"), (Partition((2, 1)), "parts")],
+)
+def test_immutable(obj, attr):
+    with pytest.raises(AttributeError, match="%s is immutable" % type(obj).__name__):
+        setattr(obj, attr, None)
