@@ -15,7 +15,8 @@ row memo keeps only weakly decreasing keys: P_lam is symmetric, so its
 other terms permute these, and the peel of decompose_weyl_basis reads its
 leaders from the same memo. pop_char and irreducible_char keep their own
 GT-pattern enumeration, so the POP route stays an independent check of the
-branching route.
+branching route; pop_char multiplies, per pattern, one series per cell of
+that cell's enumerated overlays.
 
 Every character the paper handles is symmetric, so its dominant terms
 determine it. _dominant_terms is the one symmetry test and split, and
@@ -39,7 +40,7 @@ from collections import Counter
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from .gtpop import enumerate_gt, enumerate_pops, pattern_weight, pop_grade
+from .gtpop import bounded_partitions, cell_bounds, cells, enumerate_gt, pattern_weight
 from .qalg import QPoly, q_binomial, q_pochhammer
 from .weights import (
     Partition,
@@ -486,18 +487,29 @@ def qwhittaker_char(lam):
 def pop_char(lam):
     """Character read off the POP basis: sum of q^{grade} x^{weight}.
 
-    Independent route from qwhittaker_char: the q-statistics come from
-    explicit overlay enumeration rather than per-cell binomial weights.
+    Overlays at different cells are chosen independently, so the POPs on a
+    GT pattern sum to the product over its cells of sum q^{|overlay|}. The
+    overlays are still enumerated, once per (parts, bound) pair; no POP is
+    built, and no binomial weight or row memo of qwhittaker_char is used.
     """
     if not lam.is_dominant():
         raise ValueError("POP characters require a dominant weight")
+    cell_list = cells(lam.n)
+    series = {}
     data = {}
-    for pop in enumerate_pops(lam, lam.n):
-        key = pattern_weight(pop.pattern)
-        g = pop_grade(pop)
+    for pattern in enumerate_gt(lam, lam.n):
+        product = QPoly.one()
+        for j, i in cell_list:
+            bounds = cell_bounds(pattern, j, i)
+            factor = series.get(bounds)
+            if factor is None:
+                factor = series[bounds] = QPoly(
+                    Counter(map(sum, bounded_partitions(*bounds)))
+                )
+            product = product * factor
+        key = pattern_weight(pattern)
         acc = data.get(key)
-        unit = QPoly({g: 1})
-        data[key] = unit if acc is None else acc + unit
+        data[key] = product if acc is None else acc + product
     return GradedCharacter(lam.n, data)
 
 

@@ -14,6 +14,7 @@ t-degree of the resulting basis word.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 
 from .weights import Partition, Weight, weight_to_bounding_partition
@@ -217,8 +218,8 @@ def enumerate_pops(bounding, n):
     combinations per pattern in ascending per-cell lexicographic order
     (cells row-major), so the overall order is deterministic.
     """
+    cell_list = cells(n)
     for pattern in enumerate_gt(bounding, n):
-        cell_list = cells(n)
         choices = [
             list(bounded_partitions(*cell_bounds(pattern, j, i)))
             for j, i in cell_list
@@ -234,8 +235,6 @@ def pop_grade(pop):
 
 def pop_count(lam):
     """Number of POPs for a dominant weight: prod_i C(n+1, i)^{m_i}."""
-    import math
-
     if not lam.is_dominant():
         raise ValueError("POPs are indexed by dominant weights")
     out = 1

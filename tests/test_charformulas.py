@@ -32,7 +32,7 @@ from weylchar import (
     truncated_char,
     weight_to_bounding_partition,
 )
-from weylchar import charformulas
+from weylchar import charformulas, gtpop
 from weylchar.charformulas import (
     _homogeneous_sum,
     _orbit,
@@ -418,6 +418,32 @@ class TestQWhittaker:
         ch = qwhittaker_partition_char(weight_to_bounding_partition(lam), n)
         assert ch == pop_char(lam)
         assert ch.q1_dimension() == pop_count(lam)
+
+    def test_pop_oracle_grid_ranks_4_and_5(self):
+        # every dominant weight at rank 4 with coefficient sum <= 3 and at
+        # rank 5 with sum <= 2; the verify suite's grid stays narrower
+        weights = [
+            Weight(n, coeffs)
+            for n, budget in ((4, 3), (5, 2))
+            for coeffs in itertools.product(range(budget + 1), repeat=n)
+            if sum(coeffs) <= budget
+        ]
+        assert len(weights) == 56
+        for lam in weights:
+            ch = qwhittaker_char(lam)
+            assert ch == pop_char(lam), lam
+            assert ch.q1_dimension() == pop_count(lam), lam
+
+    def test_pop_char_uses_no_branching_piece(self, monkeypatch):
+        # the oracle builds no POP object and leans on nothing it checks
+        def forbidden(*args):
+            raise AssertionError("pop_char reached a branching-route helper")
+
+        for name in ("q_binomial", "_branches", "_row_dominant_terms"):
+            monkeypatch.setattr(charformulas, name, forbidden)
+        monkeypatch.setattr(gtpop.POP, "__init__", forbidden)
+        lam = Weight(3, (2, 0, 1))
+        assert pop_char(lam).q1_dimension() == pop_count(lam) == 64
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -845,8 +871,9 @@ class TestDecompose:
 
 class TestRowDominantTerms:
     def test_equals_pop_route(self):
-        # pop_char enumerates POPs and shares neither the interlacing ranges
-        # nor psi with the row memo, so a fault in either shows up here
+        # pop_char multiplies per-cell series of enumerated overlays over GT
+        # patterns and shares neither the interlacing ranges nor psi with the
+        # row memo, so a fault in either shows up here
         rows = [
             row
             for length, top in ((2, 4), (3, 4), (4, 4), (5, 2))

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from weylchar import (
     BasisWord,
     GTPattern,
+    GradedCharacter,
     POP,
     Partition,
     QPoly,
@@ -22,6 +23,7 @@ from weylchar import (
     enumerate_pops,
     lowest_weight_pop,
     pattern_weight,
+    pop_char,
     pop_compare,
     pop_count,
     pop_grade,
@@ -203,6 +205,28 @@ class TestPOP:
         pops = list(enumerate_pops(lam, lam.n))
         assert len(pops) == pop_count(lam)
         assert len(set(pops)) == len(pops)
+
+    def test_pop_char_equals_per_pop_sum(self):
+        # pop_char multiplies per-cell series and builds no POP, so this keeps
+        # enumerate_pops, POP and pop_grade checked against it
+        weights = [
+            Weight(n, coeffs)
+            for n in (1, 2, 3)
+            for coeffs in itertools.product(range(4), repeat=n)
+            if sum(coeffs) <= 3
+        ]
+        assert len(weights) == 34
+        for lam in weights:
+            assert pop_char(lam) == per_pop_char(lam), lam
+
+
+def per_pop_char(lam):
+    """Reference POP character: q^{grade} x^{weight} summed POP by POP."""
+    data = {}
+    for pop in enumerate_pops(lam, lam.n):
+        key = pattern_weight(pop.pattern)
+        data[key] = data.get(key, QPoly.zero()) + QPoly({pop_grade(pop): 1})
+    return GradedCharacter(lam.n, data)
 
 
 class TestPopCompare:
