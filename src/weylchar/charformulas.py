@@ -583,6 +583,9 @@ TENSOR_VARIANTS = ("omega1_omegan", "omega1_omega1", "omegan_omegan")
 
 def _tensor_edges(variant, rank):
     """The fundamental indices (a, b), a <= b, of the two factors of a variant."""
+    rank = operator.index(rank)
+    if rank < 1:
+        raise ValueError("rank must be a positive integer")
     if variant == "omega1_omegan":
         return 1, rank
     if variant == "omega1_omega1":

@@ -10,7 +10,10 @@ Subcommands:
   verify     run identity-verification suites
 
 Exit codes: 0 success, 1 verification failure, 2 usage error. All output is
-deterministic: repeated runs produce byte-identical results.
+deterministic: repeated runs produce byte-identical results. JSON output is
+the text of json.dumps(payload, sort_keys=True) at an indent of 2 spaces,
+ASCII-escaped, and a newline; `_json_text` writes it without the stdlib's
+pure-Python encoder for indented output.
 """
 
 from __future__ import annotations
@@ -33,11 +36,15 @@ from .charformulas import (
     tensor_factors,
 )
 from .gtpop import basis_word, enumerate_pops, pop_count
-from .qalg import QPoly
+from .qalg import _trim, _wrap
 from .suites import SUITES, run as run_suite
 from .weights import Partition, Weight
 
 _FORMATS = ("plain", "json", "csv")
+# options whose value is a comma-separated integer list
+_LIST_OPTIONS = ("--weight", "--partition")
+_INT_ONLY = {int}
+_quote = json.encoder.encode_basestring_ascii
 
 
 def _parse_int_tuple(text, what):
@@ -67,7 +74,7 @@ def _render(args, payload, header, rows, lines):
     plain lines. Returns exit code 0.
     """
     if args.format == "json":
-        text = json.dumps(payload(), indent=2, sort_keys=True) + "\n"
+        text = _json_text(payload()) + "\n"
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -78,6 +85,36 @@ def _render(args, payload, header, rows, lines):
         text = "\n".join(lines()) + "\n"
     _emit(text, args.out)
     return 0
+
+
+def _json_text(obj, lead="\n"):
+    """json.dumps(obj, sort_keys=True) at an indent of 2 spaces, for str keys.
+
+    lead is the newline and indent that come before obj's closing bracket.
+    The stdlib encodes indented output in pure Python, one call per value.
+    Here a list of exact ints is joined at C speed (a bool is no exact int,
+    so it still reads true or false), and every other scalar goes through
+    json.dumps.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = lead + "  "
+        items = [
+            _quote(key) + ": " + _json_text(value, inner)
+            for key, value in sorted(obj.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + lead + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = lead + "  "
+        if set(map(type, obj)) == _INT_ONLY:
+            items = map(int.__repr__, obj)
+        else:
+            items = [_json_text(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + lead + "]"
+    return json.dumps(obj)
 
 
 def _exp_str(key):
@@ -212,7 +249,7 @@ def _read_char_json(path):
     if not isinstance(payload, dict):
         raise ValueError("character JSON must be an object")
     n = payload.get("rank")
-    if not _is_json_int(n):
+    if type(n) is not int:
         raise ValueError("character JSON needs an integer 'rank'")
     if not isinstance(payload.get("terms"), list):
         raise ValueError("character JSON needs a list 'terms'")
@@ -222,16 +259,12 @@ def _read_char_json(path):
             raise ValueError("each term must be an object")
         for field in ("exponents", "coefficient"):
             value = term.get(field)
-            if not isinstance(value, list) or not all(map(_is_json_int, value)):
+            # set() for an empty list; a bool or a float adds its own type
+            if not isinstance(value, list) or not set(map(type, value)) <= _INT_ONLY:
                 raise ValueError("each term needs an integer list %r" % field)
-        coeff = QPoly({i: c for i, c in enumerate(term["coefficient"])})
-        terms.append((term["exponents"], coeff))
+        terms.append((term["exponents"], _wrap(_trim(term["coefficient"]))))
     # pairs, not a dict: the constructor adds up repeated exponents
     return GradedCharacter(n, terms)
-
-
-def _is_json_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _cmd_decompose(args):
@@ -367,11 +400,27 @@ def _build_parser():
     return parser
 
 
+def _attach_list_values(argv):
+    """argv with "--weight -1,0" spelled "--weight=-1,0".
+
+    argparse reads an argument that starts with "-" and is not one plain
+    number as an option, so a list that starts with a negative entry would
+    never reach the checks that reject it.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] in _LIST_OPTIONS and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv):
     """Entry point returning an exit code: 0 ok, 1 failed checks, 2 usage."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_list_values(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -38,6 +38,7 @@ from weylchar.charformulas import (
     _orbit,
     _partition_char_cached,
     _row_dominant_terms,
+    tensor_factors,
 )
 
 from test_gtpop import weyl_dimension
@@ -569,6 +570,14 @@ class TestTensorFundamental:
     def test_negative_parameter_rejected(self):
         with pytest.raises(ValueError, match="module parameters must be nonnegative"):
             tensor_char_fundamental("omega1_omegan", -1, 1, 2)
+
+    @pytest.mark.parametrize("rank", [0, -1])
+    @pytest.mark.parametrize("variant", ["omega1_omegan", "omega1_omega1", "omegan_omegan"])
+    def test_rank_must_be_positive(self, rank, variant):
+        # not "fundamental weight index out of range" from the factor weights
+        for build in (tensor_factors, tensor_char_fundamental):
+            with pytest.raises(ValueError, match="rank must be a positive integer"):
+                build(variant, 1, 1, rank)
 
     def test_collapses_to_single_factor(self):
         assert tensor_char_fundamental("omega1_omega1", 2, 0, 2) == qwhittaker_char(

@@ -178,6 +178,18 @@ class TestPieri:
         assert out.stderr == "error: rank must be a positive integer\n"
 
 
+class TestTensor:
+    @pytest.mark.parametrize("rank", ["0", "-1"])
+    def test_nonpositive_rank_is_usage_error(self, rank):
+        out = run_cli(
+            "tensor", "--variant", "omega1_omegan", "--m", "1", "--k", "1",
+            "--rank", rank,
+        )
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == "error: rank must be a positive integer\n"
+
+
 class TestDecompose:
     def test_pipe_round_trip(self):
         tensor = run_cli(
@@ -222,6 +234,32 @@ class TestDecompose:
         self.assert_input_error(
             {"rank": 2, "terms": [{"exponents": [0, 0, 0], "coefficient": [1.5]}]}
         )
+
+    @pytest.mark.parametrize("entry", [True, False, 1.0, 2.5])
+    @pytest.mark.parametrize("field", ["exponents", "coefficient"])
+    def test_bool_or_float_entry_is_input_error(self, field, entry):
+        term = {"exponents": [1, 1], "coefficient": [1, 1]}
+        term[field][-1] = entry
+        self.assert_input_error({"rank": 1, "terms": [term]})
+
+    @pytest.mark.parametrize(
+        "coefficient, plain",
+        [([1, 0, 0], "weight (0): 1\n"), ([0, 2, 0], "weight (0): 2q\n"),
+         ([0, 0], "\n"), ([], "\n")],
+    )
+    def test_trailing_and_all_zero_coefficients(self, coefficient, plain):
+        # trailing zeros are dropped and a zero coefficient drops its term
+        payload = json.dumps(
+            {"rank": 1, "terms": [{"exponents": [1, 1], "coefficient": coefficient}]}
+        )
+        out = run_cli("decompose", stdin=payload)
+        assert out.returncode == 0
+        assert out.stdout == plain
+        if not any(coefficient):
+            out = run_cli("decompose", "--format", "json", stdin=payload)
+            assert out.stdout == (
+                '{\n  "command": "decompose",\n  "components": [],\n  "rank": 1\n}\n'
+            )
 
     def test_oversized_exponent_is_input_error(self):
         big = 10**23
@@ -326,6 +364,23 @@ class TestPlumbing:
         blob = json.loads(target.read_text())
         assert blob["q1_dimension"] == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("char", "--rank", "2", "--weight", "-1,0"),
+            ("pieri", "--rank", "2", "--m", "1", "--partition", "-1,2"),
+        ],
+    )
+    def test_negative_list_reaches_the_domain_check(self, args):
+        # argparse alone reads "-1,0" as an option and never checks the list
+        spaced = run_cli(*args)
+        joined = run_cli(*args[:-2], "%s=%s" % args[-2:])
+        assert spaced.returncode == joined.returncode == 2
+        assert spaced.stdout == joined.stdout == ""
+        assert spaced.stderr == joined.stderr
+        assert joined.stderr.startswith("error: ")
+        assert "expected one argument" not in spaced.stderr
+
     def test_unknown_subcommand(self):
         out = run_cli("frobnicate")
         assert out.returncode == 2
@@ -410,3 +465,29 @@ def test_stdout_bytes_pinned(command, fmt):
     )
     assert out.returncode == 0
     assert hashlib.sha256(out.stdout).hexdigest() == GOLDEN_SHA256[command, fmt]
+
+
+# outputs larger than the golden ones above, one per JSON payload shape
+CANONICAL_ARGS = {
+    "char": ("char", "--rank", "2", "--weight", "6,6"),
+    "tensor": (
+        "tensor", "--variant", "omega1_omegan", "--m", "3", "--k", "3", "--rank", "3",
+    ),
+    "decompose": ("decompose",),
+    "pops": ("pops", "--rank", "3", "--weight", "1,1,1"),
+    "pieri": ("pieri", "--partition", "4,3,2,1", "--m", "4", "--rank", "4"),
+    "verify": ("verify", "--suite", "all", "--max-mk", "1"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CANONICAL_ARGS))
+def test_json_output_is_canonical(command):
+    # the JSON contract: the bytes of json.dumps(payload, indent=2,
+    # sort_keys=True) and a newline; decompose reads the tensor output
+    stdin = None
+    if command == "decompose":
+        stdin = run_cli(*CANONICAL_ARGS["tensor"], "--format", "json").stdout
+    out = run_cli(*CANONICAL_ARGS[command], "--format", "json", stdin=stdin)
+    assert out.returncode == 0
+    canonical = json.dumps(json.loads(out.stdout), indent=2, sort_keys=True) + "\n"
+    assert out.stdout == canonical

@@ -4,6 +4,8 @@ Whatever the arguments or the `decompose` input, `run` returns 0, 1 or 2 and
 never lets an exception escape (which the console script would print as a
 traceback). Ranks, weights and m, k stay small: there is no size guard yet,
 so a large input would only run long.
+
+The JSON emitter is checked against the stdlib encoder it stands in for.
 """
 
 from __future__ import annotations
@@ -151,3 +153,32 @@ def test_any_decompose_input_keeps_the_exit_code_contract(payload, fmt):
     code, out, err = _run(["decompose", "--format", fmt], stdin=payload)
     if code == 2:
         assert out == "" and err.startswith("error: ")
+
+
+# keys and strings with quotes, backslashes, control and non-ASCII characters
+TEXT = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2603\U0001d11e') | st.characters()
+)
+# above 2**64 as well as near zero
+INTS = st.integers() | st.integers(2**64, 2**300) | st.integers(-(2**300), -(2**64))
+NATIVE = st.recursive(
+    st.none()
+    | st.booleans()
+    | INTS
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | TEXT
+    # int lists take the joined path unless a bool or a float is among them
+    | st.lists(INTS)
+    | st.lists(INTS | st.booleans() | st.floats(), min_size=1),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(NATIVE)
+@example(((1, 2), [True, 1], {"": [[], {}, ()]}))
+def test_json_text_matches_the_stdlib_encoder(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
