@@ -18,6 +18,16 @@ GT-pattern enumeration, so the POP route stays an independent check of the
 branching route; pop_char multiplies, per pattern, one series per cell of
 that cell's enumerated overlays.
 
+The row memo holds each coefficient as one int, its value at q = 256^w: the
+Kronecker substitution of QPoly multiplication (D. Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", 2009),
+done once per memo entry instead of once per psi multiply. Its psi products
+and sums are int * and +. Every coefficient of P_row has nonnegative
+coefficients adding up to at most dim W(row), so w, the byte length of
+dim W(row), leaves no carry between the w-byte slots. Values are unpacked
+to QPoly at the orbit fill of a character and at each step of the peel;
+every API, result and character cache holds QPoly.
+
 Every character the paper handles is symmetric, so its dominant terms
 determine it. _dominant_terms is the one symmetry test and split, and
 _orbit_fill the one way back. Full characters, products, the closed-form
@@ -36,12 +46,21 @@ import functools
 import itertools
 import math
 import operator
+import sys
+from array import array
 from collections import Counter
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from .gtpop import bounded_partitions, cell_bounds, cells, enumerate_gt, pattern_weight
-from .qalg import QPoly, q_binomial, q_pochhammer
+from .gtpop import (
+    bounded_partitions,
+    cell_bounds,
+    cells,
+    enumerate_gt,
+    pattern_weight,
+    pop_count,
+)
+from .qalg import QPoly, _wrap, q_binomial, q_pochhammer
 from .weights import (
     Partition,
     RankMismatchError,
@@ -383,10 +402,10 @@ def qwhittaker_partition_char(p, n):
     Unrolled down to a single entry this is the sum over GT patterns of the
     gl-weight monomial times the per-cell Gaussian binomials [a+b choose a]_q
     of the POP overlay bounds. The recursion keeps the dominant terms only,
-    the rest following by symmetry, and is memoised on row tuples, so
-    characters whose patterns share sub-rows share that work. Adding a full
-    column to the bottom row twists by the determinant and leaves every
-    psi unchanged.
+    the rest following by symmetry, and is memoised on row tuples and slot
+    width, so characters whose patterns share sub-rows share that work.
+    Adding a full column to the bottom row twists by the determinant and
+    leaves every psi unchanged.
     """
     n = operator.index(n)
     if n < 1:
@@ -399,7 +418,11 @@ def qwhittaker_partition_char(p, n):
 
 @functools.lru_cache(maxsize=None)
 def _partition_char_cached(parts, n):
-    return _orbit_fill(n, _row_dominant_terms(Partition(parts).padded(n + 1)))
+    row = Partition(parts).padded(n + 1)
+    width = _row_width(row)
+    return _orbit_fill(
+        n, {k: _unpack(v, width) for k, v in _row_dominant_terms(row, width).items()}
+    )
 
 
 def _check_rows(p, rows):
@@ -430,47 +453,124 @@ def _orbit(key):
 
 
 def _branches(row):
-    """(upper, last, psi) for each row `upper` one shorter interlacing `row`.
+    """(upper, last, binomials) for each row `upper` one shorter interlacing `row`.
 
-    last = |row| - |upper| is the exponent of the stripped variable and psi
-    the weight psi_{row/upper}(q), or None when every binomial in it is 1.
+    last = |row| - |upper| is the exponent of the stripped variable, and
+    binomials lists the (n, r) of each Gaussian binomial [n r]_q in
+    psi_{row/upper}(q) that is not 1; it is empty when psi is 1.
+
+    The interlacing ranges are built at the call, so a row with an entry
+    too large for a C index raises OverflowError here, before any work.
     """
     size = sum(row)
     pairs = list(zip(row, row[1:]))
     # interlacing forces row_{k+1} <= upper_k <= row_k, so every upper row
     # drawn from these ranges is already weakly decreasing
-    for upper in itertools.product(*(range(lo, hi + 1) for hi, lo in pairs)):
-        psi = None
-        for (hi, lo), u in zip(pairs, upper):
-            if lo < u < hi:  # the binomial is 1 at either end
-                binom = q_binomial(hi - lo, hi - u)
-                psi = binom if psi is None else psi * binom
-        yield upper, size - sum(upper), psi
+    uppers = itertools.product(*(range(lo, hi + 1) for hi, lo in pairs))
+
+    def branches():
+        for upper in uppers:
+            # the binomial is 1 at either end of its range
+            binomials = [
+                (hi - lo, hi - u) for (hi, lo), u in zip(pairs, upper) if lo < u < hi
+            ]
+            yield upper, size - sum(upper), binomials
+
+    return branches()
+
+
+def _row_width(row):
+    """Slot width in bytes for P_row: the byte length of dim W(row).
+
+    No coefficient of P_row exceeds dim W(row) (see _row_dominant_terms).
+    _branches is called first so that its interlacing ranges reject an
+    oversized row with OverflowError, where pop_count would raise C(L, i)
+    to a power too large to compute.
+    """
+    _branches(row)
+    # the weight of row, whose bounding row it is up to determinant columns
+    dim = pop_count(Weight(len(row) - 1, map(operator.sub, row, row[1:])))
+    return (dim.bit_length() + 7) // 8
 
 
 @functools.lru_cache(maxsize=None)
-def _row_dominant_terms(row):
-    """{weakly decreasing exponent tuple: QPoly} of P_row; read-only.
+def _packed_binomial(n, r, width):
+    """[n r]_q evaluated at q = 256^width."""
+    value = 0
+    for c in reversed(q_binomial(n, r).coeffs):
+        value = (value << 8 * width) + c
+    return value
+
+
+# Unsigned array typecodes by item size, and for each slot width up to 8
+# bytes the item size its slots are padded to when unpacked.
+_UNSIGNED_TYPECODES = {array(t).itemsize: t for t in "BHIQ"}
+_ITEM_SIZE = {
+    width: min(size for size in _UNSIGNED_TYPECODES if size >= width)
+    for width in range(1, max(_UNSIGNED_TYPECODES) + 1)
+}
+
+
+def _unpack(value, width):
+    """The QPoly whose coefficients fill the width-byte slots of value > 0."""
+    count = -(-value.bit_length() // (8 * width))
+    data = value.to_bytes(count * width, "little")
+    size = _ITEM_SIZE.get(width)
+    if size is None:
+        return _wrap(
+            tuple(
+                [
+                    int.from_bytes(data[i : i + width], "little")
+                    for i in range(0, len(data), width)
+                ]
+            )
+        )
+    if size != width:
+        padded = bytearray(count * size)
+        for j in range(width):
+            padded[j::size] = data[j::width]
+        data = padded
+    coeffs = array(_UNSIGNED_TYPECODES[size], data)
+    if sys.byteorder == "big":
+        coeffs.byteswap()
+    return _wrap(tuple(coeffs))
+
+
+@functools.lru_cache(maxsize=None)
+def _row_dominant_terms(row, width):
+    """{weakly decreasing exponent tuple: coefficient at q = 256^width} of P_row.
 
     The one branching memo: every character and every peel leader reads
-    it. key + (last,) is weakly decreasing exactly when key is and
-    key[-1] >= last, so the dominant terms of P_row come from the dominant
-    terms of each P_upper alone. Every upper row is visited: the dominant
-    keys of P_upper can end above upper[-1].
+    it, and _unpack turns a value back into its QPoly. key + (last,) is
+    weakly decreasing exactly when key is and key[-1] >= last, so the
+    dominant terms of P_row come from the dominant terms of each P_upper
+    alone. Every upper row is visited: the dominant keys of P_upper can end
+    above upper[-1].
+
+    Evaluation at an integer is a ring map, so psi products and sums are
+    int * and +, and each value is exact. It unpacks to its QPoly when
+    every coefficient is below 256^width, and with width >= _row_width(row)
+    it is: every coefficient of P_row is a nonnegative polynomial whose
+    value at q = 1 is at most dim W(row), the sum of all of them at q = 1.
     """
     if len(row) == 1:
-        return {row: QPoly.one()}
+        return {row: 1}
     data = {}
-    for upper, last, psi in _branches(row):
+    for upper, last, binomials in _branches(row):
+        psi = None
+        for n, r in binomials:
+            binom = _packed_binomial(n, r, width)
+            psi = binom if psi is None else psi * binom
         tail = (last,)
-        for key, coeff in _row_dominant_terms(upper).items():
+        for key, value in _row_dominant_terms(upper, width).items():
             if key[-1] < last:
                 continue
             key += tail
             if psi is not None:
-                coeff = coeff * psi
+                value *= psi
+            # a new key takes the value itself, so unscaled values stay shared
             acc = data.get(key)
-            data[key] = coeff if acc is None else acc + coeff
+            data[key] = value if acc is None else acc + value
     return data
 
 
@@ -702,10 +802,16 @@ def decompose_weyl_basis(f):
 
     The remainder is kept on dominant keys only: the remainder of a
     symmetric input stays symmetric, so its dominant coefficients determine
-    it. Each step subtracts the leader's dominant terms straight from the
+    it. Each step unpacks the leader's dominant terms straight from the
     row memo, so no leader's full character is built or cached. The
     remainder starts as a copy: the dominant terms an orbit fill carries
-    may be that memo's own entry.
+    may be a cached character's own.
+
+    Every leader is unpacked at one slot width, so the leaders share the
+    memo: the first leader's, widened when a later leader needs more. A
+    product of Weyl characters never widens, as dim W(mu) grows along the
+    dominance order and its first leader dominates the rest, but an
+    arbitrary symmetric input need not be ordered that way.
     """
     if not isinstance(f, GradedCharacter):
         raise TypeError("decompose_weyl_basis expects a GradedCharacter")
@@ -716,6 +822,7 @@ def decompose_weyl_basis(f):
     n = f.n
     out = []
     seen = set()
+    width = 0
     while remainder:
         key = max(remainder)
         if key in seen:
@@ -723,8 +830,13 @@ def decompose_weyl_basis(f):
         seen.add(key)
         coeff = remainder[key]
         out.append((partition_to_weight(Partition(key), n), coeff))
+        width = max(width, _row_width(key))
         neg = -coeff
         _accumulate(
-            remainder, ((k, p * neg) for k, p in _row_dominant_terms(key).items())
+            remainder,
+            (
+                (k, _unpack(v, width) * neg)
+                for k, v in _row_dominant_terms(key, width).items()
+            ),
         )
     return out

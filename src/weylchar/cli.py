@@ -41,7 +41,8 @@ from .suites import SUITES, run as run_suite
 from .weights import Partition, Weight
 
 _FORMATS = ("plain", "json", "csv")
-# options whose value is a comma-separated integer list
+# options whose value is a comma-separated integer list; no other option
+# starts with --w or --p, so argparse reads every prefix of one as that option
 _LIST_OPTIONS = ("--weight", "--partition")
 _INT_ONLY = {int}
 _quote = json.encoder.encode_basestring_ascii
@@ -401,15 +402,23 @@ def _build_parser():
 
 
 def _attach_list_values(argv):
-    """argv with "--weight -1,0" spelled "--weight=-1,0".
+    """argv with each negative list value attached to its option.
 
-    argparse reads an argument that starts with "-" and is not one plain
-    number as an option, so a list that starts with a negative entry would
-    never reach the checks that reject it.
+    "--weight -1,0" becomes "--weight=-1,0", and so does every prefix of a
+    list option that argparse accepts, such as "--weig -1,0". argparse
+    reads an argument that starts with "-" and is not one plain number as
+    an option, so a list that starts with a negative entry would never
+    reach the checks that reject it.
     """
     out = []
     for arg in argv:
-        if out and out[-1] in _LIST_OPTIONS and arg[:1] == "-" and arg[1:2].isdigit():
+        if (
+            out
+            and len(out[-1]) > 2
+            and any(option.startswith(out[-1]) for option in _LIST_OPTIONS)
+            and arg[:1] == "-"
+            and arg[1:2].isdigit()
+        ):
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -38,6 +39,8 @@ from weylchar.charformulas import (
     _orbit,
     _partition_char_cached,
     _row_dominant_terms,
+    _row_width,
+    _unpack,
     tensor_factors,
 )
 
@@ -290,15 +293,16 @@ class TestCarriedDominantTerms:
         assert (b == a) is same
 
     def test_peel_copies_carried_terms(self):
-        # qwhittaker_char(w) carries the row memo's own entry: a peel that
-        # wrote to it would spoil every later character of that row
+        # qwhittaker_char(w) is cached and carries its dominant terms: a peel
+        # that wrote to them would spoil every later character of that row
         w = Weight(2, (2, 1))
         row = weight_to_bounding_partition(w).padded(3)
-        memo = dict(_row_dominant_terms(row))
+        width = _row_width(row)
+        memo = dict(_row_dominant_terms(row, width))
         terms = dict(qwhittaker_char(w).terms)
         for _ in range(2):
             assert decompose_weyl_basis(qwhittaker_char(w)) == [(w, QPoly.one())]
-        assert _row_dominant_terms(row) == memo
+        assert _row_dominant_terms(row, width) == memo
         assert qwhittaker_char(w).terms == terms
 
     def test_orbit_fills_skip_the_scan(self, monkeypatch):
@@ -878,20 +882,165 @@ class TestDecompose:
         assert dim == a.q1_dimension() * b.q1_dimension()
 
 
+# Rows of every length 2 to 5 with small entries: 141 of them.
+GRID_ROWS = [
+    row
+    for length, top in ((2, 4), (3, 4), (4, 4), (5, 2))
+    for row in itertools.product(range(top + 1), repeat=length)
+    if is_dominant(row)
+]
+
+# The char-ladder weights of bench/run.py; each runs with its dual too.
+CHAR_LADDER = [
+    (10, 10), (12, 12), (16, 4),
+    (3, 3, 3), (4, 2, 4), (5, 0, 5),
+    (2, 1, 1, 2), (1, 2, 1, 0),
+    (1, 0, 1, 0, 1),
+]
+
+# The library pairs of bench/run.py's tensor-decompose workload.
+LIBRARY_PAIRS = [
+    ((4, 4), (4, 4)),
+    ((3, 3), (3, 3)),
+    ((2, 2, 2), (1, 1, 1)),
+    ((2, 1, 0), (0, 1, 2)),
+]
+
+# Rows with a coefficient of 256 or more in 2-byte slots, so that slots one
+# byte narrower than _row_width overflow; dim W(row) is loose by about a
+# byte elsewhere, e.g. (24, 12, 0) peaks at 275,713,741 (29 bits) in 5 bytes.
+TIGHT_ROWS = [(10, 0, 0), (10, 5, 0), (7, 6, 3, 0), (6, 4, 3, 2, 0)]
+
+
+def ladder_rows():
+    """The distinct bounding rows of the char-ladder weights and their duals."""
+    return sorted(
+        {
+            weight_to_bounding_partition(Weight(len(c), c)).padded(len(c) + 1)
+            for coeffs in CHAR_LADDER
+            for c in (coeffs, coeffs[::-1])
+        }
+    )
+
+
+@functools.cache
+def reference_row_terms(row):
+    """{dominant key: QPoly} of P_row by the branching rule over QPoly.
+
+    The reference for the packed memo: psi is a QPoly product of Gaussian
+    binomials and every term is multiplied and added as a QPoly.
+    """
+    if len(row) == 1:
+        return {row: QPoly.one()}
+    size = sum(row)
+    pairs = list(zip(row, row[1:]))
+    data = {}
+    for upper in itertools.product(*(range(lo, hi + 1) for hi, lo in pairs)):
+        psi = QPoly.one()
+        for (hi, lo), u in zip(pairs, upper):
+            psi = psi * q_binomial(hi - lo, hi - u)
+        last = size - sum(upper)
+        for key, coeff in reference_row_terms(upper).items():
+            if key[-1] >= last:
+                key += (last,)
+                data[key] = data.get(key, QPoly.zero()) + coeff * psi
+    return data
+
+
+def unpacked_row(row, width):
+    """The packed memo's entry for (row, width), each value unpacked."""
+    return {k: _unpack(v, width) for k, v in _row_dominant_terms(row, width).items()}
+
+
+def reference_peel(f):
+    """(leader key, coefficient) of each step of the peel of f over reference rows."""
+    remainder = {k: p for k, p in f.terms.items() if is_dominant(k)}
+    out = []
+    while remainder:
+        key = max(remainder)
+        coeff = remainder[key]
+        out.append((key, coeff))
+        for k, p in reference_row_terms(key).items():
+            acc = remainder.get(k, QPoly.zero()) - p * coeff
+            if acc:
+                remainder[k] = acc
+            else:
+                del remainder[k]
+    return out
+
+
 class TestRowDominantTerms:
     def test_equals_pop_route(self):
         # pop_char multiplies per-cell series of enumerated overlays over GT
         # patterns and shares neither the interlacing ranges nor psi with the
         # row memo, so a fault in either shows up here
-        rows = [
-            row
-            for length, top in ((2, 4), (3, 4), (4, 4), (5, 2))
-            for row in itertools.product(range(top + 1), repeat=length)
-            if is_dominant(row)
-        ]
-        assert len(rows) == 141
-        for row in rows:
+        assert len(GRID_ROWS) == 141
+        for row in GRID_ROWS:
             n = len(row) - 1
             ch = pop_char(partition_to_weight(Partition(row), n)).det_twist(row[-1])
             dominant = {k: p for k, p in ch.terms.items() if is_dominant(k)}
-            assert _row_dominant_terms(row) == dominant, row
+            assert unpacked_row(row, _row_width(row)) == dominant, row
+            assert reference_row_terms(row) == dominant, row
+
+    def test_equals_reference(self):
+        rows = GRID_ROWS + ladder_rows() + TIGHT_ROWS
+        assert len(rows) == 141 + 11 + 4
+        for row in rows:
+            width = _row_width(row)
+            assert unpacked_row(row, width) == reference_row_terms(row), row
+            # a wider slot holds the same coefficients
+            assert unpacked_row(row, width + 1) == reference_row_terms(row), row
+
+    def test_width_bounds_every_coefficient(self):
+        for row in GRID_ROWS + ladder_rows() + TIGHT_ROWS:
+            coeffs = [c for p in reference_row_terms(row).values() for c in p.coeffs]
+            assert min(coeffs) > 0, row
+            assert max(coeffs) < 256 ** _row_width(row), row
+        for row in TIGHT_ROWS:
+            width = _row_width(row)
+            assert width == 2
+            assert max(max(p.coeffs) for p in reference_row_terms(row).values()) >= 256
+            # one-byte slots carry into the next slot
+            assert unpacked_row(row, width - 1) != reference_row_terms(row), row
+
+    @pytest.mark.parametrize("pair", LIBRARY_PAIRS, ids=str)
+    def test_library_pair_leaders(self, pair):
+        # the leaders of a bench product, at their own width and at the
+        # first leader's width that the peel uses for all of them
+        a, b = (qwhittaker_char(Weight(len(c), c)) for c in pair)
+        n = a.n
+        steps = reference_peel(a * b)
+        assert decompose_weyl_basis(a * b) == [
+            (partition_to_weight(Partition(key), n), coeff) for key, coeff in steps
+        ]
+        peel_width = _row_width(steps[0][0])
+        for key, _ in steps:
+            width = _row_width(key)
+            assert width <= peel_width
+            assert unpacked_row(key, width) == reference_row_terms(key), key
+            assert unpacked_row(key, peel_width) == reference_row_terms(key), key
+
+    def test_peel_widens_for_a_later_leader(self):
+        # det^13 packs in 1-byte slots, and P_(12,0,0) has coefficients up
+        # to 1,968 and needs 3-byte slots: a peel that kept the first
+        # leader's width would unpack a spurious remainder
+        assert _row_width((13, 13, 13)) == 1 and _row_width((12, 0, 0)) == 3
+        f = qwhittaker_partition_char((13, 13, 13), 2) + qwhittaker_partition_char(
+            (12, 0, 0), 2
+        )
+        assert decompose_weyl_basis(f) == [
+            (Weight(2, (0, 0)), QPoly.one()),
+            (Weight(2, (12, 0)), QPoly.one()),
+        ]
+
+    def test_oversized_row_overflows_before_the_width(self, monkeypatch):
+        # pop_count would raise 3 to this power and never finish
+        def forbidden(*args):
+            raise AssertionError("the width was computed for an oversized row")
+
+        monkeypatch.setattr(charformulas, "pop_count", forbidden)
+        with pytest.raises(OverflowError):
+            qwhittaker_partition_char((10**23, 0, 0), 2)
+        big = GradedCharacter(1, {(10**23, 0): 1, (0, 10**23): 1})
+        with pytest.raises(OverflowError):
+            decompose_weyl_basis(big)

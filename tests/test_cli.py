@@ -369,6 +369,10 @@ class TestPlumbing:
         [
             ("char", "--rank", "2", "--weight", "-1,0"),
             ("pieri", "--rank", "2", "--m", "1", "--partition", "-1,2"),
+            # prefixes that argparse resolves to the list options
+            ("char", "--rank", "2", "--weig", "-1,0"),
+            ("dim", "--rank", "2", "--w", "-1,0"),
+            ("pieri", "--rank", "2", "--m", "1", "--part", "-1,2"),
         ],
     )
     def test_negative_list_reaches_the_domain_check(self, args):
