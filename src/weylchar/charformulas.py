@@ -47,7 +47,6 @@ import itertools
 import math
 import operator
 import sys
-from array import array
 from collections import Counter
 from collections.abc import Mapping
 from types import MappingProxyType
@@ -60,7 +59,7 @@ from .gtpop import (
     pattern_weight,
     pop_count,
 )
-from .qalg import QPoly, _wrap, q_binomial, q_pochhammer
+from .qalg import QPoly, _from_unsigned_slots, _wrap, q_binomial, q_pochhammer
 from .weights import (
     Partition,
     RankMismatchError,
@@ -458,36 +457,29 @@ def _branches(row):
     last = |row| - |upper| is the exponent of the stripped variable, and
     binomials lists the (n, r) of each Gaussian binomial [n r]_q in
     psi_{row/upper}(q) that is not 1; it is empty when psi is 1.
-
-    The interlacing ranges are built at the call, so a row with an entry
-    too large for a C index raises OverflowError here, before any work.
     """
     size = sum(row)
     pairs = list(zip(row, row[1:]))
     # interlacing forces row_{k+1} <= upper_k <= row_k, so every upper row
     # drawn from these ranges is already weakly decreasing
-    uppers = itertools.product(*(range(lo, hi + 1) for hi, lo in pairs))
-
-    def branches():
-        for upper in uppers:
-            # the binomial is 1 at either end of its range
-            binomials = [
-                (hi - lo, hi - u) for (hi, lo), u in zip(pairs, upper) if lo < u < hi
-            ]
-            yield upper, size - sum(upper), binomials
-
-    return branches()
+    for upper in itertools.product(*(range(lo, hi + 1) for hi, lo in pairs)):
+        # the binomial is 1 at either end of its range
+        binomials = [
+            (hi - lo, hi - u) for (hi, lo), u in zip(pairs, upper) if lo < u < hi
+        ]
+        yield upper, size - sum(upper), binomials
 
 
 def _row_width(row):
     """Slot width in bytes for P_row: the byte length of dim W(row).
 
     No coefficient of P_row exceeds dim W(row) (see _row_dominant_terms).
-    _branches is called first so that its interlacing ranges reject an
-    oversized row with OverflowError, where pop_count would raise C(L, i)
-    to a power too large to compute.
+    A row whose interlacing ranges are longer than a C index raises
+    OverflowError first, since pop_count would raise C(L, i) to a power
+    too large to compute and _branches could not enumerate it anyway.
     """
-    _branches(row)
+    if row[0] - row[-1] > sys.maxsize:
+        raise OverflowError("row %r is too wide to enumerate" % (row,))
     # the weight of row, whose bounding row it is up to determinant columns
     dim = pop_count(Weight(len(row) - 1, map(operator.sub, row, row[1:])))
     return (dim.bit_length() + 7) // 8
@@ -502,38 +494,12 @@ def _packed_binomial(n, r, width):
     return value
 
 
-# Unsigned array typecodes by item size, and for each slot width up to 8
-# bytes the item size its slots are padded to when unpacked.
-_UNSIGNED_TYPECODES = {array(t).itemsize: t for t in "BHIQ"}
-_ITEM_SIZE = {
-    width: min(size for size in _UNSIGNED_TYPECODES if size >= width)
-    for width in range(1, max(_UNSIGNED_TYPECODES) + 1)
-}
-
-
 def _unpack(value, width):
     """The QPoly whose coefficients fill the width-byte slots of value > 0."""
     count = -(-value.bit_length() // (8 * width))
-    data = value.to_bytes(count * width, "little")
-    size = _ITEM_SIZE.get(width)
-    if size is None:
-        return _wrap(
-            tuple(
-                [
-                    int.from_bytes(data[i : i + width], "little")
-                    for i in range(0, len(data), width)
-                ]
-            )
-        )
-    if size != width:
-        padded = bytearray(count * size)
-        for j in range(width):
-            padded[j::size] = data[j::width]
-        data = padded
-    coeffs = array(_UNSIGNED_TYPECODES[size], data)
-    if sys.byteorder == "big":
-        coeffs.byteswap()
-    return _wrap(tuple(coeffs))
+    coeffs = _from_unsigned_slots(value.to_bytes(count * width, sys.byteorder), width)
+    # native order puts the lowest slot last on a big-endian machine
+    return _wrap(coeffs[::-1] if sys.byteorder == "big" else coeffs)
 
 
 @functools.lru_cache(maxsize=None)

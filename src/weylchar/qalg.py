@@ -93,6 +93,32 @@ def _from_slots(data, width):
     )
 
 
+def _from_unsigned_slots(data, width):
+    """The nonnegative integers in consecutive width-byte slots of data.
+
+    Slots are padded to the next power-of-two width and read as one array
+    when that is a machine-integer size; wider slots are read one by one.
+    """
+    size = 1 << (width - 1).bit_length()
+    typecode = _SIGNED_TYPECODES.get(size)
+    if typecode is None:
+        from_bytes = int.from_bytes
+        return tuple(
+            [
+                from_bytes(data[i : i + width], _ORDER)
+                for i in range(0, len(data), width)
+            ]
+        )
+    if size != width:
+        padded = bytearray(len(data) // width * size)
+        # the zero bytes are the high bytes of each padded slot
+        offset = size - width if _ORDER == "big" else 0
+        for j in range(width):
+            padded[offset + j :: size] = data[j::width]
+        data = padded
+    return tuple(array(typecode.upper(), data))
+
+
 def _mul_kronecker(a, b):
     """Convolution of two nonzero coefficient tuples by one big-int product.
 

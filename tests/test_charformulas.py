@@ -911,6 +911,10 @@ LIBRARY_PAIRS = [
 # byte elsewhere, e.g. (24, 12, 0) peaks at 275,713,741 (29 bits) in 5 bytes.
 TIGHT_ROWS = [(10, 0, 0), (10, 5, 0), (7, 6, 3, 0), (6, 4, 3, 2, 0)]
 
+# Rows with dim W(row) >= 2^64, so their own slots are wider than 8 bytes:
+# W(64) at rank 1 and W(21, 21) at rank 2 (dim 3^42).
+WIDE_ROWS = [(64, 0), (42, 21, 0)]
+
 
 def ladder_rows():
     """The distinct bounding rows of the char-ladder weights and their duals."""
@@ -991,6 +995,27 @@ class TestRowDominantTerms:
             # a wider slot holds the same coefficients
             assert unpacked_row(row, width + 1) == reference_row_terms(row), row
 
+    def test_unpack_reads_unsigned_slots(self):
+        # full slots, a zero slot and a lone top bit, at the widths read by
+        # array and at those read by int.from_bytes: coefficients of P_row
+        # seldom reach the top bit of their slot, so the rows cannot show a
+        # signed read
+        for width in range(1, 10):
+            top = 256**width - 1
+            coeffs = (top, 0, 1 << (8 * width - 1), 1, top)
+            value = sum(c << (8 * width * i) for i, c in enumerate(coeffs))
+            assert _unpack(value, width).coeffs == coeffs, width
+
+    def test_wide_slots(self):
+        # slots of 7 and 8 bytes, and wider than any machine integer
+        for row in GRID_ROWS + TIGHT_ROWS:
+            expected = reference_row_terms(row)
+            for width in (7, 8, 9):
+                assert unpacked_row(row, width) == expected, (row, width)
+        for row in WIDE_ROWS:
+            assert _row_width(row) == 9
+            assert unpacked_row(row, 9) == reference_row_terms(row), row
+
     def test_width_bounds_every_coefficient(self):
         for row in GRID_ROWS + ladder_rows() + TIGHT_ROWS:
             coeffs = [c for p in reference_row_terms(row).values() for c in p.coeffs]
@@ -1038,6 +1063,10 @@ class TestRowDominantTerms:
         def forbidden(*args):
             raise AssertionError("the width was computed for an oversized row")
 
+        # determinant columns alone do not make a row wide
+        assert qwhittaker_partition_char((10**23,) * 3, 2) == GradedCharacter(
+            2, {(10**23,) * 3: 1}
+        )
         monkeypatch.setattr(charformulas, "pop_count", forbidden)
         with pytest.raises(OverflowError):
             qwhittaker_partition_char((10**23, 0, 0), 2)
