@@ -38,6 +38,16 @@ the peel read them instead of scanning again, and two orbit fills are
 equal exactly when their dominant terms are. The scan still runs on
 constructor input, on results of pairwise arithmetic (+, -, scalar *) and
 on a nonsymmetric operand.
+
+A product of two symmetric characters is a sum of products m_d * m_e of
+monomial symmetric functions, m_d the orbit sum of a dominant key d. Each
+pair of dominant keys walks the smaller of its two orbits once, and the
+structure constants of m_d * m_e follow from the walk's counts and the
+orbit sizes. Its coefficients are packed like the row memo's, but signed,
+at q = 2^(8w) with 2^(8w - 1) above N(a) * N(b), where N(f) is the sum of
+|coefficient| over every term of f; every coefficient of either factor and
+of the product is below that, so the walk is int * and + and each product
+key is unpacked to QPoly once.
 """
 
 from __future__ import annotations
@@ -59,7 +69,16 @@ from .gtpop import (
     pattern_weight,
     pop_count,
 )
-from .qalg import QPoly, _from_unsigned_slots, _wrap, q_binomial, q_pochhammer
+from .qalg import (
+    QPoly,
+    _from_unsigned_slots,
+    _signed_coeffs,
+    _signed_value,
+    _slot_width,
+    _wrap,
+    q_binomial,
+    q_pochhammer,
+)
 from .weights import (
     Partition,
     RankMismatchError,
@@ -140,9 +159,9 @@ class GradedCharacter:
         """Product with a character (monomial convolution), int or QPoly.
 
         When both characters are symmetric, so is the product, and it is
-        built on the dominant cone: one QPoly multiply per dominant class
-        of self and dominant key of the product. Otherwise every pair of
-        terms is multiplied.
+        built on the dominant cone: one walk of the smaller orbit per pair
+        of dominant keys, on coefficients packed as integers (see
+        _symmetric_product). Otherwise every pair of terms is multiplied.
         """
         if isinstance(other, (int, QPoly)):
             if isinstance(other, int):
@@ -155,8 +174,12 @@ class GradedCharacter:
             return NotImplemented
         self._check_rank(other)
         dominant = _dominant_of(self)
-        if dominant is not None and other.is_symmetric():
-            return _orbit_fill(self.n, _symmetric_product(dominant, other.terms))
+        if dominant is not None:
+            other_dominant = _dominant_of(other)
+            if other_dominant is not None:
+                return _orbit_fill(
+                    self.n, _symmetric_product(dominant, other_dominant)
+                )
         pairs = itertools.product(self.terms.items(), other.terms.items())
         products = (
             (tuple(map(operator.add, k1, k2)), p1 * p2) for (k1, p1), (k2, p2) in pairs
@@ -319,30 +342,54 @@ def _orbit_fill(n, dominant):
     return ch
 
 
-def _symmetric_product(dominant, b):
-    """Dominant terms of a product, from the left factor's dominant terms.
+def _symmetric_product(a, b):
+    """Dominant terms of a product, from the dominant terms of both factors.
 
-    b holds every term of the right factor. The left factor is constant on
-    each orbit, so for each dominant key d the terms of b that meet a member
-    k1 of d's orbit on a dominant key are summed first, and each sum is
-    multiplied by dominant[d] once. k1 + k2 is dominant exactly when every
-    gap k2[i] - k2[i+1] is at least k1[i+1] - k1[i].
+    Write m_d for the sum of x^k over the orbit of a dominant key d; then
+    m_d * m_e is the sum of c_nu m_nu over dominant nu. With d fixed, the
+    members beta of the orbit of e with sorted(d + beta) = nu number
+    c_nu |orbit(nu)| / |orbit(d)|, and c is symmetric in d and e. So each
+    pair of dominant keys walks the smaller of its two orbits once, and each
+    step adds a[d] b[e] times the other key's orbit size at its nu. The sum
+    at nu is then |orbit(nu)| times the product's coefficient, and one exact
+    division per product key ends the walk.
+
+    Coefficients are packed at q = 2^(8w) (qalg._signed_value), so the walk
+    is int * and +, and each product key is unpacked once. With N(f) the sum
+    of |coefficient| over every term of f, orbits counted in full, no
+    coefficient of either factor or of the product exceeds N(a) * N(b); w
+    is the least slot width with 2^(8w - 1) above that bound. A key whose
+    value is 0 has cancelled and is dropped.
     """
-    b_terms = [
-        (tuple(map(operator.sub, k2, k2[1:])), k2, p2) for k2, p2 in b.items()
-    ]
+    if not a or not b:
+        return {}
+    width = _slot_width(_abs_total(a) * _abs_total(b))
+    a_terms, b_terms = (
+        [(d, _signed_value(p.coeffs, width), _orbit(d)) for d, p in f.items()]
+        for f in (a, b)
+    )
+    add = operator.add
     product = {}
-    for d, coeff in dominant.items():
-        sums = {}
-        for k1 in _orbit(d):
-            need = tuple(map(operator.sub, k1[1:], k1))
-            for gaps, k2, p2 in b_terms:
-                if all(map(operator.ge, gaps, need)):
-                    key = tuple(map(operator.add, k1, k2))
-                    acc = sums.get(key)
-                    sums[key] = p2 if acc is None else acc + p2
-        _accumulate(product, ((key, coeff * s) for key, s in sums.items() if s))
-    return product
+    for d, x, orbit_d in a_terms:
+        for e, y, orbit_e in b_terms:
+            if len(orbit_e) <= len(orbit_d):
+                fixed, walk, step = d, orbit_e, x * y * len(orbit_d)
+            else:
+                fixed, walk, step = e, orbit_d, x * y * len(orbit_e)
+            for beta in walk:
+                key = tuple(sorted(map(add, fixed, beta), reverse=True))
+                acc = product.get(key)
+                product[key] = step if acc is None else acc + step
+    out = {}
+    for key, value in product.items():
+        if value:
+            out[key] = _wrap(_signed_coeffs(value // len(_orbit(key)), width))
+    return out
+
+
+def _abs_total(dominant):
+    """N(f): the sum of |coefficient| over every term of a symmetric character."""
+    return sum(len(_orbit(d)) * sum(map(abs, p.coeffs)) for d, p in dominant.items())
 
 
 def _homogeneous_sum(n, terms):

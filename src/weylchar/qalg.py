@@ -11,7 +11,7 @@ Kronecker substitution", J. Symbolic Comput. 2009). The packing is signed and
 exact: w is a whole number of bytes with 2^(w-1) above the bound
 max|a| * max|b| * min(len a, len b) on every product coefficient, and a bias
 of 2^(w-1) in every slot lets negative coefficients pack and unpack without
-borrows (see _mul_kronecker).
+borrows (see _signed_value and _signed_coeffs).
 """
 
 from __future__ import annotations
@@ -119,28 +119,45 @@ def _from_unsigned_slots(data, width):
     return tuple(array(typecode.upper(), data))
 
 
+def _bias(width, size):
+    """2^(8*width - 1) in each of `size` slots of `width` bytes."""
+    slot = (1 << (8 * width - 1)).to_bytes(width, _ORDER)
+    return int.from_bytes(slot * size, _ORDER)
+
+
+def _signed_value(coeffs, width):
+    """Value at q = 2^(8*width) of coefficients below 2^(8*width - 1) in size.
+
+    Flipping the top bit of a two's-complement slot holding c gives
+    c + 2^(8*width - 1) >= 0, so XOR with the all-slots bias B and
+    subtracting B turns the slots into the exact value.
+    """
+    bias = _bias(width, len(coeffs))
+    return (int.from_bytes(_to_slots(coeffs, width), _ORDER) ^ bias) - bias
+
+
+def _signed_coeffs(value, width):
+    """Inverse of _signed_value: the coefficient tuple, no trailing zeros.
+
+    With every |coefficient| below 2^(8*width - 1) the top nonzero slot is
+    slot bit_length // (8*width). Adding B makes every slot nonnegative,
+    with no borrow between slots, and XOR with B restores two's complement.
+    """
+    if not value:
+        return ()
+    size = abs(value).bit_length() // (8 * width) + 1
+    bias = _bias(width, size)
+    return _from_slots(((value + bias) ^ bias).to_bytes(width * size, _ORDER), width)
+
+
 def _mul_kronecker(a, b):
     """Convolution of two nonzero coefficient tuples by one big-int product.
 
-    Slots are w bits wide with 2^(w-1) above every |coefficient| involved.
-    Flipping the top bit of a two's-complement slot holding c gives
-    c + 2^(w-1) >= 0, so XOR with the all-slots bias B and subtracting B
-    turns a byte string of slots into the exact value of the polynomial at
-    q = 2^w. The product is read back the opposite way: adding B makes every
-    slot nonnegative, with no borrow between slots, and XOR with B restores
-    two's complement.
+    Slots are w bytes wide with 2^(8w-1) above every |coefficient| involved,
+    so the product of the two values at q = 2^(8w) reads back exactly.
     """
     width = _slot_width(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)))
-    slot = (1 << (8 * width - 1)).to_bytes(width, _ORDER)
-
-    def value_at_2w(coeffs):
-        bias = int.from_bytes(slot * len(coeffs), _ORDER)
-        return (int.from_bytes(_to_slots(coeffs, width), _ORDER) ^ bias) - bias
-
-    size = len(a) + len(b) - 1
-    bias = int.from_bytes(slot * size, _ORDER)
-    product = (value_at_2w(a) * value_at_2w(b) + bias) ^ bias
-    return _from_slots(product.to_bytes(width * size, _ORDER), width)
+    return _signed_coeffs(_signed_value(a, width) * _signed_value(b, width), width)
 
 
 class QPoly:

@@ -236,6 +236,63 @@ class TestGradedCharacter:
         assert ch.total_degree() == 2
 
 
+def dominant_keys(n, top):
+    """Every weakly decreasing (n+1)-tuple with entries in 0..top."""
+    keys = itertools.product(range(top + 1), repeat=n + 1)
+    return sorted({tuple(sorted(k, reverse=True)) for k in keys})
+
+
+class TestSymmetricProduct:
+    """Products of two symmetric characters on the dominant cone."""
+
+    @pytest.mark.parametrize("n,top", [(1, 3), (2, 3), (3, 3), (4, 2)])
+    def test_structure_constants_match_orbit_pair_count(self, n, top):
+        keys = dominant_keys(n, top)
+        orbits = {key: set(itertools.permutations(key)) for key in keys}
+        monomials = {key: orbit_sum(n, key) for key in keys}
+        # every ordered pair, so each pair of distinct orbit sizes is walked
+        # from its smaller orbit once with either key on the left
+        assert len({len(orbit) for orbit in orbits.values()}) > 1
+        for d, e in itertools.product(keys, repeat=2):
+            count = Counter(
+                tuple(map(operator.add, alpha, beta))
+                for alpha in orbits[d]
+                for beta in orbits[e]
+            )
+            product = monomials[d] * monomials[e]
+            assert dict(product.terms) == {k: QPoly.const(c) for k, c in count.items()}
+
+    def test_coefficients_wider_than_eight_bytes(self):
+        # N(a) * N(b) = 3 * 2^71 needs 10-byte slots, and the x1 x2
+        # coefficient 2^71 does not fit in 9
+        big = 2**70
+        a = orbit_sum(1, (1, 0), big) - orbit_sum(1, (1, 1), QPoly({1: big}))
+        b = orbit_sum(1, (1, 0))
+        expected = (
+            orbit_sum(1, (2, 0), big)
+            + orbit_sum(1, (1, 1), 2 * big)
+            - orbit_sum(1, (2, 1), QPoly({1: big}))
+        )
+        for left, right in ((a, b), (b, a), (a, -b)):
+            product = left * right
+            assert product == all_pairs_product(left, right)
+        assert a * b == expected
+        assert a * -b == -expected
+
+    def test_product_with_cancelled_terms(self):
+        w = qwhittaker_char(Weight(2, (2, 1)))
+        zero = w - w
+        for product in (zero * w, w * zero):
+            assert product.terms == {}
+            assert product.is_symmetric()
+        # (x1 + x2)(x1^4 - x1^3 x2 + x1^2 x2^2 - x1 x2^3 + x2^4) = x1^5 + x2^5,
+        # scaled by (1 - q) * 2^70: every packed value but one sums to 0
+        scale = QPoly({0: 2**70, 1: -(2**70)})
+        alternating = GradedCharacter(1, {(4 - i, i): (-1) ** i for i in range(5)})
+        product = orbit_sum(1, (1, 0), scale) * alternating
+        assert product.terms == {(5, 0): scale, (0, 5): scale}
+
+
 class ScanCalled(Exception):
     """Raised by a stand-in for the symmetry scan."""
 

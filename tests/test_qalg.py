@@ -14,7 +14,7 @@ from weylchar import (
     q_int,
     q_pochhammer,
 )
-from weylchar.qalg import KRONECKER_CUTOFF
+from weylchar.qalg import KRONECKER_CUTOFF, _signed_coeffs, _signed_value
 
 
 class TestQPoly:
@@ -147,6 +147,20 @@ class TestDenseArithmetic:
                      ((-m, m) * 4, (m, -m) * 4)):
             a, b = dict(enumerate(a)), dict(enumerate(b))
             assert (QPoly(a) * QPoly(b)).coeffs == QPoly(naive_product(a, b)).coeffs
+
+    @settings(deadline=None)
+    @given(st.integers(1, 10), st.data())
+    def test_signed_slots_round_trip(self, width, data):
+        # the extremes +-(2^(8w-1) - 1) in any slot, the top one included,
+        # read back from the packed value alone
+        top = 2 ** (8 * width - 1) - 1
+        entries = st.sampled_from((-top, -1, 0, 1, top)) | st.integers(-top, top)
+        coeffs = data.draw(st.lists(entries, max_size=12))
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        value = _signed_value(coeffs, width)
+        assert value == sum(c << (8 * width * i) for i, c in enumerate(coeffs))
+        assert _signed_coeffs(value, width) == tuple(coeffs)
 
     @settings(deadline=None)
     @given(coeff_dicts(max_len=40))
