@@ -40,14 +40,11 @@ constructor input, on results of pairwise arithmetic (+, -, scalar *) and
 on a nonsymmetric operand.
 
 A product of two symmetric characters is a sum of products m_d * m_e of
-monomial symmetric functions, m_d the orbit sum of a dominant key d. Each
-pair of dominant keys walks the smaller of its two orbits once, and the
-structure constants of m_d * m_e follow from the walk's counts and the
-orbit sizes. Its coefficients are packed like the row memo's, but signed,
-at q = 2^(8w) with 2^(8w - 1) above N(a) * N(b), where N(f) is the sum of
-|coefficient| over every term of f; every coefficient of either factor and
-of the product is below that, so the walk is int * and + and each product
-key is unpacked to QPoly once.
+monomial symmetric functions, m_d the orbit sum of a dominant key d, whose
+structure constants come from one walk of the smaller orbit per pair of
+dominant keys. The coefficients are packed like the row memo's, but signed,
+at q = 2^(8w) with 2^(8w - 1) above N(a) * N(b), N(f) the sum of
+|coefficient| over every term of f (see _symmetric_product).
 """
 
 from __future__ import annotations
@@ -362,6 +359,7 @@ def _symmetric_product(a, b):
     value is 0 has cancelled and is dropped.
     """
     if not a or not b:
+        # N = 0 would bound neither factor's coefficients
         return {}
     width = _slot_width(_abs_total(a) * _abs_total(b))
     a_terms, b_terms = (

@@ -139,9 +139,10 @@ def _signed_value(coeffs, width):
 def _signed_coeffs(value, width):
     """Inverse of _signed_value: the coefficient tuple, no trailing zeros.
 
-    With every |coefficient| below 2^(8*width - 1) the top nonzero slot is
-    slot bit_length // (8*width). Adding B makes every slot nonnegative,
-    with no borrow between slots, and XOR with B restores two's complement.
+    With every |coefficient| below 2^(8*width - 1), the top nonzero slot is
+    slot number |value|.bit_length() // (8*width). Adding the bias B makes
+    every slot nonnegative, with no borrow between slots, and XOR with B
+    restores two's complement.
     """
     if not value:
         return ()
