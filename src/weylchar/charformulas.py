@@ -43,8 +43,12 @@ A product of two symmetric characters is a sum of products m_d * m_e of
 monomial symmetric functions, m_d the orbit sum of a dominant key d, whose
 structure constants come from one walk of the smaller orbit per pair of
 dominant keys. The coefficients are packed like the row memo's, but signed,
-at q = 2^(8w) with 2^(8w - 1) above N(a) * N(b), N(f) the sum of
-|coefficient| over every term of f (see _symmetric_product).
+at q = 2^(8w) with 2^(8w - 1) above N(a) * M(b), N(f) the sum of
+|coefficient| over every term of f and M(f) the largest sum of
+|coefficient| over one term (see _symmetric_product). The closed-form sums
+(_homogeneous_sum) are packed the same way: each scalar and each dominant
+coefficient of each summand once, int * and + per dominant term, and one
+unpack per key of the sum.
 """
 
 from __future__ import annotations
@@ -352,16 +356,18 @@ def _symmetric_product(a, b):
     division per product key ends the walk.
 
     Coefficients are packed at q = 2^(8w) (qalg._signed_value), so the walk
-    is int * and +, and each product key is unpacked once. With N(f) the sum
-    of |coefficient| over every term of f, orbits counted in full, no
-    coefficient of either factor or of the product exceeds N(a) * N(b); w
-    is the least slot width with 2^(8w - 1) above that bound. A key whose
-    value is 0 has cancelled and is dropped.
+    is int * and +, and each product key is unpacked once. Each monomial of
+    a meets at most one monomial of b in a given product monomial, so no
+    coefficient of the product exceeds N(a) * M(b): N(a) is the sum of
+    |coefficient| over every term of a, orbits counted in full, and M(b)
+    the largest sum of |coefficient| over one term of b. Neither does any
+    coefficient of a or b. w is the least slot width with 2^(8w - 1) above
+    that bound. A key whose value is 0 has cancelled and is dropped.
     """
     if not a or not b:
         # N = 0 would bound neither factor's coefficients
         return {}
-    width = _slot_width(_abs_total(a) * _abs_total(b))
+    width = _slot_width(_abs_total(a) * _abs_max(b))
     a_terms, b_terms = (
         [(d, _signed_value(p.coeffs, width), _orbit(d)) for d, p in f.items()]
         for f in (a, b)
@@ -390,15 +396,31 @@ def _abs_total(dominant):
     return sum(len(_orbit(d)) * sum(map(abs, p.coeffs)) for d, p in dominant.items())
 
 
+def _abs_max(dominant):
+    """M(f): the largest sum of |coefficient| over one term of f."""
+    return max(sum(map(abs, p.coeffs)) for p in dominant.values())
+
+
 def _homogeneous_sum(n, terms):
     """Sum of coeff * ch over (ch, coeff) pairs of symmetric characters.
 
     Each term's dominant terms are det-twisted up to the total degree of
     the first nonzero term and scaled, and the orbits are filled once.
     ArithmeticError when a gap is not a nonnegative multiple of n+1,
-    ValueError for a nonsymmetric term.
+    ValueError for a nonsymmetric term, TypeError for a coefficient that
+    is neither int nor QPoly.
+
+    Coefficients are packed as in _symmetric_product: each coeff and each
+    dominant coefficient of each term once, at q = 2^(8w), so the sum is
+    int * and +, and each key of the sum is unpacked once. No coefficient
+    of the sum, of a term or of a coeff exceeds the sum over terms of
+    M(ch) * S(coeff), with M(ch) the largest sum of |coefficient| over one
+    term of ch and S(coeff) the sum of |coefficient| of coeff; w is the
+    least slot width with 2^(8w - 1) above that bound. A key whose value is
+    0 has cancelled and is dropped.
     """
-    data = {}
+    collected = []
+    bound = 0
     degree = None
     for ch, coeff in terms:
         if not coeff or not ch.terms:
@@ -415,10 +437,34 @@ def _homogeneous_sum(n, terms):
                 "a term of degree %d is no determinant twist below degree %d"
                 % (own, degree)
             )
-        # Z[q] has no zero divisors, so no scaled coefficient vanishes
-        shifted = ((tuple(e + shift for e in k), p) for k, p in dominant.items())
-        _accumulate(data, ((k, p * coeff) for k, p in shifted))
-    return _orbit_fill(n, data)
+        if isinstance(coeff, int):
+            coeffs = (coeff,)
+        elif isinstance(coeff, QPoly):
+            coeffs = coeff.coeffs
+        else:
+            raise TypeError(
+                "coefficients must be int or QPoly, not %s" % type(coeff).__name__
+            )
+        bound += _abs_max(dominant) * sum(map(abs, coeffs))
+        collected.append((dominant, coeffs, shift))
+    width = _slot_width(bound)
+    packed = {}
+    for dominant, coeffs, shift in collected:
+        scale = _signed_value(coeffs, width)
+        for key, p in dominant.items():
+            if shift:
+                key = tuple([e + shift for e in key])
+            value = _signed_value(p.coeffs, width) * scale
+            acc = packed.get(key)
+            packed[key] = value if acc is None else acc + value
+    return _orbit_fill(
+        n,
+        {
+            key: _wrap(_signed_coeffs(value, width))
+            for key, value in packed.items()
+            if value
+        },
+    )
 
 
 def char_multiply(a, b):

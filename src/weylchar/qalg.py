@@ -11,7 +11,8 @@ Kronecker substitution", J. Symbolic Comput. 2009). The packing is signed and
 exact: w is a whole number of bytes with 2^(w-1) above the bound
 max|a| * max|b| * min(len a, len b) on every product coefficient, and a bias
 of 2^(w-1) in every slot lets negative coefficients pack and unpack without
-borrows (see _signed_value and _signed_coeffs).
+borrows (see _signed_value and _signed_coeffs). The bias of each slot width
+and slot count is built once and memoised (_bias).
 """
 
 from __future__ import annotations
@@ -119,8 +120,9 @@ def _from_unsigned_slots(data, width):
     return tuple(array(typecode.upper(), data))
 
 
+@functools.cache
 def _bias(width, size):
-    """2^(8*width - 1) in each of `size` slots of `width` bytes."""
+    """2^(8*width - 1) in each of `size` slots of `width` bytes, memoised."""
     slot = (1 << (8 * width - 1)).to_bytes(width, _ORDER)
     return int.from_bytes(slot * size, _ORDER)
 

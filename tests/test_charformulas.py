@@ -33,7 +33,7 @@ from weylchar import (
     truncated_char,
     weight_to_bounding_partition,
 )
-from weylchar import charformulas, gtpop
+from weylchar import charformulas, gtpop, qalg
 from weylchar.charformulas import (
     _homogeneous_sum,
     _orbit,
@@ -74,6 +74,30 @@ def orbit_sum(n, key, coeff=1):
     """coeff times the sum of x^perm over the distinct permutations of key."""
     perms = set(itertools.permutations(key))
     return GradedCharacter(n, {perm: coeff for perm in perms})
+
+
+def reference_homogeneous_sum(n, terms):
+    """Reference for _homogeneous_sum: one QPoly multiply and add per dominant term."""
+    data = {}
+    degree = None
+    for ch, coeff in terms:
+        if not coeff or not ch.terms:
+            continue
+        dominant = charformulas._dominant_of(ch)
+        if dominant is None:
+            raise ValueError("a term of the sum is not a symmetric character")
+        own = sum(next(iter(dominant)))
+        if degree is None:
+            degree = own
+        shift, rem = divmod(degree - own, n + 1)
+        if rem or shift < 0:
+            raise ArithmeticError(
+                "a term of degree %d is no determinant twist below degree %d"
+                % (own, degree)
+            )
+        shifted = ((tuple(e + shift for e in k), p) for k, p in dominant.items())
+        charformulas._accumulate(data, ((k, p * coeff) for k, p in shifted))
+    return charformulas._orbit_fill(n, data)
 
 
 class TestGradedCharacter:
@@ -263,8 +287,8 @@ class TestSymmetricProduct:
             assert dict(product.terms) == {k: QPoly.const(c) for k, c in count.items()}
 
     def test_coefficients_wider_than_eight_bytes(self):
-        # N(a) * N(b) = 3 * 2^71 needs 10-byte slots, and the x1 x2
-        # coefficient 2^71 does not fit in 9
+        # N(a) * M(b) = 3 * 2^70 and N(b) * M(a) = 2^71 both need 10-byte
+        # slots, and the x1 x2 coefficient 2^71 does not fit in 9
         big = 2**70
         a = orbit_sum(1, (1, 0), big) - orbit_sum(1, (1, 1), QPoly({1: big}))
         b = orbit_sum(1, (1, 0))
@@ -277,6 +301,20 @@ class TestSymmetricProduct:
             assert left * right == all_pairs_product(left, right)
         assert a * b == expected
         assert a * -b == -expected
+
+    def test_square_bound_reads_one_factor_term(self, monkeypatch):
+        # N(a) * N(b) = 3^40 would need 9-byte slots; N(a) * M(a) fits in 8
+        ch = qwhittaker_char(Weight(2, (10, 10)))
+        widths = set()
+
+        def spy(coeffs, width):
+            widths.add(width)
+            return qalg._signed_value(coeffs, width)
+
+        monkeypatch.setattr(charformulas, "_signed_value", spy)
+        square = ch * ch
+        assert widths == {8}
+        assert square.q1_dimension() == 3**40
 
     def test_product_with_cancelled_terms(self):
         w = qwhittaker_char(Weight(2, (2, 1)))
@@ -666,6 +704,12 @@ class TestTensorFundamental:
                 assert lhs == tensor_char_fundamental(variant, m, k, 1)
 
 
+@functools.cache
+def keys_of_degree(n, degree):
+    """Every weakly decreasing (n+1)-tuple of nonnegative entries adding up to degree."""
+    return [key for key in dominant_keys(n, degree) if sum(key) == degree]
+
+
 class TestHomogeneousSum:
     def test_twists_up_to_first_degree(self):
         theta, trivial = qwhittaker_char(Weight(2, (1, 1))), GradedCharacter.one(2)
@@ -690,6 +734,75 @@ class TestHomogeneousSum:
         terms = [(qwhittaker_char(Weight(2, w)), QPoly.one()) for w in ((1, 1), second)]
         with pytest.raises(ArithmeticError):
             _homogeneous_sum(2, terms)
+
+    def test_non_polynomial_coefficient_rejected(self):
+        theta = qwhittaker_char(Weight(2, (1, 1)))
+        with pytest.raises(TypeError):
+            _homogeneous_sum(2, [(theta, QPoly.one()), (theta, 1.5)])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        n = data.draw(st.integers(1, 3))
+        pool = keys_of_degree(n, data.draw(st.integers(n + 1, 2 * n + 2)))
+        polys = st.dictionaries(st.integers(0, 2), st.integers(-3, 3), max_size=3)
+        coeffs = st.one_of(st.integers(-3, 3), polys.map(QPoly))
+
+        def draw_term():
+            # keys with at least `shift` in every entry, divided by det^shift
+            shift = data.draw(st.integers(0, 1))
+            chosen = data.draw(st.lists(st.sampled_from(pool), max_size=4, unique=True))
+            dominant = {}
+            for key in chosen:
+                poly = QPoly(data.draw(polys))
+                if poly and min(key) >= shift:
+                    dominant[tuple(e - shift for e in key)] = poly
+            ch = charformulas._orbit_fill(n, dominant)
+            if data.draw(st.booleans()):
+                # constructor input, which the sum scans
+                ch = GradedCharacter(n, dict(ch.terms))
+            return ch, data.draw(coeffs)
+
+        terms = [draw_term() for _ in range(data.draw(st.integers(0, 4)))]
+        # an earlier term again with its coefficient negated cancels it
+        # exactly; with every term repeated so, the whole sum cancels
+        for ch, coeff in list(terms):
+            if data.draw(st.booleans()):
+                terms.insert(data.draw(st.integers(0, len(terms))), (ch, -coeff))
+        if data.draw(st.integers(0, 4)) == 0:
+            lopsided = GradedCharacter(n, {(0,) * n + (1,): 1})
+            terms.insert(data.draw(st.integers(0, len(terms))), (lopsided, 1))
+
+        def outcome(sum_of):
+            try:
+                total = sum_of(n, terms)
+            except (ValueError, ArithmeticError) as exc:
+                return type(exc)
+            assert total._dominant is not None
+            return dict(total.terms)
+
+        assert outcome(_homogeneous_sum) == outcome(reference_homogeneous_sum)
+
+    def test_coefficients_wider_than_eight_bytes(self):
+        # the bound 2^70 + 2^71 + 2^70 = 2^72 needs 10-byte slots, and the
+        # x1^2 coefficient 2^71 does not fit in 9; the constant character
+        # is det-twisted up to (1, 1)
+        big = 2**70
+        fill = functools.partial(charformulas._orbit_fill, 1)
+        terms = [
+            (fill({(2, 0): QPoly.one(), (1, 1): QPoly.const(-1)}), big),
+            (fill({(2, 0): QPoly.one()}), QPoly({0: big, 1: -big})),
+            (GradedCharacter.one(1), QPoly({1: big})),
+        ]
+        expected = orbit_sum(1, (2, 0), QPoly({0: 2 * big, 1: -big})) + orbit_sum(
+            1, (1, 1), QPoly({0: -big, 1: big})
+        )
+        assert _homogeneous_sum(1, terms) == expected
+        assert _homogeneous_sum(1, [(ch, -c) for ch, c in terms]) == -expected
+        assert _homogeneous_sum(1, terms) == reference_homogeneous_sum(1, terms)
+        # each term again with its coefficient negated: nothing is left
+        cancelled = terms + [(ch, -c) for ch, c in terms]
+        assert _homogeneous_sum(1, cancelled).terms == {}
 
 
 class TestTruncated:
