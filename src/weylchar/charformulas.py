@@ -365,7 +365,7 @@ def _symmetric_product(a, b):
     that bound. A key whose value is 0 has cancelled and is dropped.
     """
     if not a or not b:
-        # N = 0 would bound neither factor's coefficients
+        # an empty factor has no largest term, and its product is empty
         return {}
     width = _slot_width(_abs_total(a) * _abs_max(b))
     a_terms, b_terms = (
