@@ -25,8 +25,9 @@ done once per memo entry instead of once per psi multiply. Its psi products
 and sums are int * and +. Every coefficient of P_row has nonnegative
 coefficients adding up to at most dim W(row), so w, the byte length of
 dim W(row), leaves no carry between the w-byte slots. Values are unpacked
-to QPoly at the orbit fill of a character and at each step of the peel;
-every API, result and character cache holds QPoly.
+to QPoly (qalg._unsigned_coeffs, the one reader of unsigned slots) at the
+orbit fill of a character and at each step of the peel; every API, result
+and character cache holds QPoly.
 
 Every character the paper handles is symmetric, so its dominant terms
 determine it. _dominant_terms is the one symmetry test and split, and
@@ -72,10 +73,10 @@ from .gtpop import (
 )
 from .qalg import (
     QPoly,
-    _from_unsigned_slots,
     _signed_coeffs,
     _signed_value,
     _slot_width,
+    _unsigned_coeffs,
     _wrap,
     q_binomial,
     q_pochhammer,
@@ -587,10 +588,7 @@ def _packed_binomial(n, r, width):
 
 def _unpack(value, width):
     """The QPoly whose coefficients fill the width-byte slots of value > 0."""
-    count = -(-value.bit_length() // (8 * width))
-    coeffs = _from_unsigned_slots(value.to_bytes(count * width, sys.byteorder), width)
-    # native order puts the lowest slot last on a big-endian machine
-    return _wrap(coeffs[::-1] if sys.byteorder == "big" else coeffs)
+    return _wrap(_unsigned_coeffs(value, width))
 
 
 @functools.lru_cache(maxsize=None)

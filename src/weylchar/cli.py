@@ -437,6 +437,9 @@ def run(argv):
     except (ValueError, OverflowError, DecompositionError, KeyError, OSError) as exc:
         sys.stderr.write("error: %s\n" % (exc,))
         return 2
+    except RecursionError:
+        sys.stderr.write("error: input is too large for Python's recursion limit\n")
+        return 2
 
 
 def main(argv=None):

@@ -2,17 +2,23 @@
 
 QPoly is a dense integer polynomial in q: an immutable tuple of coefficients
 (c_0, c_1, ..., c_deg) with trailing zeros trimmed, so the zero polynomial is
-(). A product whose shorter operand has fewer than KRONECKER_CUTOFF
-coefficients is a schoolbook convolution. Longer products use Kronecker
-substitution: each operand is evaluated at q = 2^w as one Python int, the two
-ints are multiplied once, and the product's coefficients are read back from
-its w-bit slots (D. Harvey, "Faster polynomial multiplication via multipoint
-Kronecker substitution", J. Symbolic Comput. 2009). The packing is signed and
-exact: w is a whole number of bytes with 2^(w-1) above the bound
-max|a| * max|b| * min(len a, len b) on every product coefficient, and a bias
-of 2^(w-1) in every slot lets negative coefficients pack and unpack without
-borrows (see _signed_value and _signed_coeffs). The bias of each slot width
-and slot count is built once and memoised (_bias).
+(). A product with a constant operand scales the other one; every product of
+two non-constant polynomials uses Kronecker substitution: each operand is
+evaluated at q = 2^w as one Python int, the two ints are multiplied once, and
+the product's coefficients are read back from its w-bit slots (D. Harvey,
+"Faster polynomial multiplication via multipoint Kronecker substitution", J.
+Symbolic Comput. 2009). The packing is signed and exact: w is a whole number
+of bytes with 2^(w-1) above the bound max|a| * max|b| * min(len a, len b) on
+every product coefficient, and a bias of 2^(w-1) in every slot lets negative
+coefficients pack and unpack without borrows (see _signed_value and
+_signed_coeffs). The bias of each slot width and slot count is built once and
+memoised (_bias).
+
+Packed values hold their lowest slot in their lowest bytes, and every slot is
+little-endian, on every host: ints go to and from bytes in "little" order,
+and a machine-integer array is byteswapped on a big-endian host. This module
+is the only one that turns packed values into bytes; the row memo of
+charformulas reads its unsigned slots through _unsigned_coeffs.
 """
 
 from __future__ import annotations
@@ -20,17 +26,11 @@ from __future__ import annotations
 import functools
 import sys
 from array import array
-from itertools import repeat
-from operator import add, index, mul
+from operator import add, index
 
-# Shortest operand length at which a product switches from schoolbook
-# convolution to Kronecker substitution. On a 2-core x86-64 Xeon VM under
-# CPython 3.11, Kronecker cost about 10 us per product plus little per
-# coefficient, and overtook schoolbook at a shorter operand of 4 to 5
-# coefficients once the longer one had 6 or more.
-KRONECKER_CUTOFF = 5
-
-_ORDER = sys.byteorder
+# slots are little-endian on every host, so a big-endian host byteswaps the
+# arrays it packs and unpacks
+_BYTESWAP = sys.byteorder == "big"
 
 
 class IntegralityError(ArithmeticError):
@@ -43,18 +43,6 @@ def _trim(coeffs):
     while end and not coeffs[end - 1]:
         end -= 1
     return tuple(coeffs[:end])
-
-
-def _mul_schoolbook(a, b):
-    """Convolution of two coefficient tuples, b the shorter and nonzero one."""
-    la = len(a)
-    out = [0] * (la + len(b) - 1)
-    for j, cb in enumerate(b):
-        if cb == 1:
-            out[j : j + la] = map(add, out[j : j + la], a)
-        elif cb:
-            out[j : j + la] = map(add, out[j : j + la], map(mul, a, repeat(cb)))
-    return tuple(out)
 
 
 # Signed machine-integer array typecodes by size in bytes, used to move whole
@@ -73,58 +61,68 @@ def _slot_width(bound):
 
 
 def _to_slots(coeffs, width):
-    """Two's-complement bytes of the coefficients, width bytes each."""
+    """Two's-complement little-endian bytes of the coefficients, width bytes each."""
     typecode = _SIGNED_TYPECODES.get(width)
     if typecode:
-        return array(typecode, coeffs).tobytes()
-    return b"".join([c.to_bytes(width, _ORDER, signed=True) for c in coeffs])
+        slots = array(typecode, coeffs)
+        if _BYTESWAP:
+            slots.byteswap()
+        return slots.tobytes()
+    return b"".join([c.to_bytes(width, "little", signed=True) for c in coeffs])
 
 
 def _from_slots(data, width):
     """Inverse of _to_slots: the signed integers in consecutive slots."""
     typecode = _SIGNED_TYPECODES.get(width)
     if typecode:
-        return tuple(array(typecode, data))
+        slots = array(typecode, data)
+        if _BYTESWAP:
+            slots.byteswap()
+        return tuple(slots)
     from_bytes = int.from_bytes
     return tuple(
         [
-            from_bytes(data[i : i + width], _ORDER, signed=True)
+            from_bytes(data[i : i + width], "little", signed=True)
             for i in range(0, len(data), width)
         ]
     )
 
 
-def _from_unsigned_slots(data, width):
-    """The nonnegative integers in consecutive width-byte slots of data.
+def _unsigned_coeffs(value, width):
+    """The nonnegative integers in the width-byte slots of value >= 0.
 
     Slots are padded to the next power-of-two width and read as one array
     when that is a machine-integer size; wider slots are read one by one.
     """
+    count = -(-value.bit_length() // (8 * width))
+    data = value.to_bytes(count * width, "little")
     size = 1 << (width - 1).bit_length()
     typecode = _SIGNED_TYPECODES.get(size)
     if typecode is None:
         from_bytes = int.from_bytes
         return tuple(
             [
-                from_bytes(data[i : i + width], _ORDER)
+                from_bytes(data[i : i + width], "little")
                 for i in range(0, len(data), width)
             ]
         )
     if size != width:
-        padded = bytearray(len(data) // width * size)
+        padded = bytearray(count * size)
         # the zero bytes are the high bytes of each padded slot
-        offset = size - width if _ORDER == "big" else 0
         for j in range(width):
-            padded[offset + j :: size] = data[j::width]
+            padded[j::size] = data[j::width]
         data = padded
-    return tuple(array(typecode.upper(), data))
+    slots = array(typecode.upper(), data)
+    if _BYTESWAP:
+        slots.byteswap()
+    return tuple(slots)
 
 
 @functools.cache
 def _bias(width, size):
     """2^(8*width - 1) in each of `size` slots of `width` bytes, memoised."""
-    slot = (1 << (8 * width - 1)).to_bytes(width, _ORDER)
-    return int.from_bytes(slot * size, _ORDER)
+    slot = (1 << (8 * width - 1)).to_bytes(width, "little")
+    return int.from_bytes(slot * size, "little")
 
 
 def _signed_value(coeffs, width):
@@ -135,7 +133,7 @@ def _signed_value(coeffs, width):
     subtracting B turns the slots into the exact value.
     """
     bias = _bias(width, len(coeffs))
-    return (int.from_bytes(_to_slots(coeffs, width), _ORDER) ^ bias) - bias
+    return (int.from_bytes(_to_slots(coeffs, width), "little") ^ bias) - bias
 
 
 def _signed_coeffs(value, width):
@@ -150,7 +148,7 @@ def _signed_coeffs(value, width):
         return ()
     size = abs(value).bit_length() // (8 * width) + 1
     bias = _bias(width, size)
-    return _from_slots(((value + bias) ^ bias).to_bytes(width * size, _ORDER), width)
+    return _from_slots(((value + bias) ^ bias).to_bytes(width * size, "little"), width)
 
 
 def _mul_kronecker(a, b):
@@ -277,10 +275,8 @@ class QPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        if len(b) >= KRONECKER_CUTOFF:
-            return _wrap(_mul_kronecker(a, b))
         if len(b) > 1:
-            return _wrap(_mul_schoolbook(a, b))
+            return _wrap(_mul_kronecker(a, b))
         if b == (1,):
             return self if a is self.coeffs else other
         return _wrap(tuple([c * b[0] for c in a]) if b else ())

@@ -1164,17 +1164,6 @@ class TestRowDominantTerms:
             # a wider slot holds the same coefficients
             assert unpacked_row(row, width + 1) == reference_row_terms(row), row
 
-    def test_unpack_reads_unsigned_slots(self):
-        # full slots, a zero slot and a lone top bit, at the widths read by
-        # array and at those read by int.from_bytes: coefficients of P_row
-        # seldom reach the top bit of their slot, so the rows cannot show a
-        # signed read
-        for width in range(1, 10):
-            top = 256**width - 1
-            coeffs = (top, 0, 1 << (8 * width - 1), 1, top)
-            value = sum(c << (8 * width * i) for i, c in enumerate(coeffs))
-            assert _unpack(value, width).coeffs == coeffs, width
-
     def test_wide_slots(self):
         # slots of 7 and 8 bytes, and wider than any machine integer
         for row in GRID_ROWS + TIGHT_ROWS:

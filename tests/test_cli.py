@@ -385,6 +385,24 @@ class TestPlumbing:
         assert joined.stderr.startswith("error: ")
         assert "expected one argument" not in spaced.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("char", "--rank", "1", "--weight", "1100"),
+            ("pieri", "--partition", "1500", "--m", "1", "--rank", "1"),
+            ("tensor", "--variant", "omega1_omega1", "--m", "1100", "--k", "1",
+             "--rank", "1"),
+        ],
+    )
+    def test_recursion_limit_is_input_error(self, args):
+        # q_binomial's Pascal recursion runs past the recursion limit
+        out = run_cli(*args)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: input is too large")
+        assert out.stderr.count("\n") == 1
+        assert "Traceback" not in out.stderr
+
     def test_unknown_subcommand(self):
         out = run_cli("frobnicate")
         assert out.returncode == 2

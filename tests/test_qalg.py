@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import array
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from weylchar import (
     IntegralityError,
@@ -14,7 +16,9 @@ from weylchar import (
     q_int,
     q_pochhammer,
 )
-from weylchar.qalg import KRONECKER_CUTOFF, _signed_coeffs, _signed_value
+from weylchar import charformulas, qalg
+from weylchar.filtration import verify_tensor_fundamental
+from weylchar.qalg import _signed_coeffs, _signed_value, _unsigned_coeffs
 
 
 class TestQPoly:
@@ -111,13 +115,15 @@ def naive_product(a, b):
 
 
 @st.composite
-def coeff_dicts(draw, max_len=300):
-    """Signed coefficient dicts of length up to max_len, so products fall on
-    both sides of KRONECKER_CUTOFF, with magnitudes up to 2^70, sometimes a
-    negative leading coefficient and some explicit zero entries."""
+def coeff_dicts(draw, max_len=300, low_zeros=0):
+    """Signed coefficient dicts of length up to max_len, with magnitudes up to
+    2^70, sometimes a negative leading coefficient and some explicit zero
+    entries; up to low_zeros of the lowest coefficients are zero."""
     length = draw(st.integers(0, max_len))
     bound = draw(st.sampled_from((9, 2**70)))
     dense = draw(st.lists(st.integers(-bound, bound), min_size=length, max_size=length))
+    zero_run = draw(st.integers(0, min(low_zeros, length)))
+    dense[:zero_run] = [0] * zero_run
     if dense and draw(st.booleans()):
         dense[-1] = -abs(dense[-1]) or -1
     zeros = draw(st.sets(st.integers(0, max_len), max_size=8))
@@ -126,16 +132,29 @@ def coeff_dicts(draw, max_len=300):
     return out
 
 
+def check_unsigned_slots():
+    # full slots, a zero slot and a lone top bit, at the widths read by array
+    # and at those read by int.from_bytes: coefficients of the packed row
+    # memo seldom reach the top bit of their slot, so its rows cannot show a
+    # signed read
+    for width in range(1, 10):
+        top = 256**width - 1
+        coeffs = (top, 0, 1 << (8 * width - 1), 1, top)
+        value = sum(c << (8 * width * i) for i, c in enumerate(coeffs))
+        assert _unsigned_coeffs(value, width) == coeffs, width
+
+
 class TestDenseArithmetic:
     @settings(deadline=None)
     @given(coeff_dicts(), coeff_dicts())
     def test_product_matches_naive_convolution(self, a, b):
         assert (QPoly(a) * QPoly(b)).coeffs == QPoly(naive_product(a, b)).coeffs
 
-    @settings(deadline=None)
-    @given(coeff_dicts(max_len=2 * KRONECKER_CUTOFF),
-           coeff_dicts(max_len=2 * KRONECKER_CUTOFF))
-    def test_product_near_cutoff(self, a, b):
+    @settings(deadline=None, max_examples=300)
+    @given(coeff_dicts(max_len=10, low_zeros=4), coeff_dicts(max_len=10, low_zeros=4))
+    def test_short_products_match_naive_convolution(self, a, b):
+        # every product of two non-constant operands is a Kronecker product,
+        # the shortest included
         assert QPoly(a) * QPoly(b) == QPoly(naive_product(a, b))
 
     @pytest.mark.parametrize("nbytes", range(1, 11))
@@ -161,6 +180,9 @@ class TestDenseArithmetic:
         value = _signed_value(coeffs, width)
         assert value == sum(c << (8 * width * i) for i, c in enumerate(coeffs))
         assert _signed_coeffs(value, width) == tuple(coeffs)
+
+    def test_unsigned_slots_read_back(self):
+        check_unsigned_slots()
 
     @settings(deadline=None)
     @given(coeff_dicts(max_len=40))
@@ -207,6 +229,72 @@ class TestDenseArithmetic:
         assert str(p) == str(q)
         assert repr(p) == repr(q)
         assert p.coefficient_list() == q.coefficient_list()
+
+
+class BigEndianArray(array.array):
+    """array.array as a big-endian host keeps it: bytes read into items and
+    written from them most significant byte first."""
+
+    def __new__(cls, typecode, initializer=()):
+        items = super().__new__(cls, typecode, initializer)
+        if sys.byteorder == "little" and isinstance(initializer, (bytes, bytearray)):
+            items.byteswap()
+        return items
+
+    def tobytes(self):
+        items = array.array(self.typecode, self)
+        if sys.byteorder == "little":
+            items.byteswap()
+        return items.tobytes()
+
+
+def clear_unpacked_caches():
+    # caches whose QPoly values were read back from packed slots
+    charformulas._partition_char_cached.cache_clear()
+    qalg.q_pochhammer.cache_clear()
+
+
+@pytest.fixture
+def big_endian_host(monkeypatch):
+    """qalg as it runs on a big-endian host."""
+    monkeypatch.setattr(qalg, "array", BigEndianArray)
+    monkeypatch.setattr(qalg, "_BYTESWAP", True)
+    clear_unpacked_caches()
+    yield
+    clear_unpacked_caches()
+
+
+@pytest.mark.usefixtures("big_endian_host")
+class TestBigEndianHost:
+    def test_simulated_array_is_big_endian(self):
+        assert BigEndianArray("h", [1]).tobytes() == b"\x00\x01"
+        assert tuple(BigEndianArray("h", b"\x00\x01")) == (1,)
+
+    def test_product_with_zero_low_coefficients(self):
+        a, b = {k: 1 for k in range(1, 6)}, {k: 1 for k in range(5)}
+        assert (QPoly(a) * QPoly(b)).coeffs == (0, 1, 2, 3, 4, 5, 4, 3, 2, 1)
+
+    @settings(
+        deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(coeff_dicts(max_len=40, low_zeros=4), coeff_dicts(max_len=40, low_zeros=4))
+    def test_products_match_naive_convolution(self, a, b):
+        assert (QPoly(a) * QPoly(b)).coeffs == QPoly(naive_product(a, b)).coeffs
+
+    def test_signed_slots_round_trip(self):
+        for width in range(1, 11):
+            top = 2 ** (8 * width - 1) - 1
+            for coeffs in ((0, 0, -top, 1, top), (top, -1, 0, -top), (-1,)):
+                value = _signed_value(coeffs, width)
+                assert value == sum(c << (8 * width * i) for i, c in enumerate(coeffs))
+                assert _signed_coeffs(value, width) == coeffs, width
+
+    def test_unsigned_slots_read_back(self):
+        check_unsigned_slots()
+
+    def test_tensor_closed_form(self):
+        report = verify_tensor_fundamental("omega1_omegan", 3, 3, 2)
+        assert report.status == "pass"
 
 
 class TestQInt:
