@@ -202,8 +202,15 @@ class GradedCharacter:
         )
 
     def q1_dimension(self):
-        """Total dimension: sum of all coefficients at q = 1."""
-        return sum(p.at_one() for p in self.terms.values())
+        """Total dimension: sum of all coefficients at q = 1.
+
+        A character that carries its dominant terms sums one coefficient per
+        orbit, times the size of the orbit.
+        """
+        dominant = self._dominant
+        if dominant is None:
+            return sum(p.at_one() for p in self.terms.values())
+        return sum(len(_orbit(d)) * p.at_one() for d, p in dominant.items())
 
     def specialize_q0(self):
         """Set q = 0, keeping only constant terms."""

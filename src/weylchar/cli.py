@@ -115,7 +115,15 @@ def _json_text(obj, lead="\n"):
         else:
             items = [_json_text(item, inner) for item in obj]
         return "[" + inner + ("," + inner).join(items) + lead + "]"
+    if type(obj) is _Verbatim:
+        return obj
     return json.dumps(obj)
+
+
+class _Verbatim(str):
+    """Finished JSON text that _json_text writes as it is, for one known place."""
+
+    __slots__ = ()
 
 
 def _exp_str(key):
@@ -123,15 +131,52 @@ def _exp_str(key):
 
 
 def _render_character(args, ch, plain_head, extra):
-    """Render a character: its terms as JSON, one CSV row or plain line each."""
+    """Render a character: its terms as JSON, one CSV row or plain line each.
+
+    Every key of an orbit carries the same coefficient, so each distinct
+    coefficient is rendered once per call and its text reused by every key
+    that carries it. The JSON "terms" array is written here, one level deep
+    in the payload, as the bytes _json_text would write for
+    GradedCharacter.to_json()["terms"].
+    """
+    keys = sorted(ch.terms)
+
+    def texts(render):
+        memo = {}
+        for key in keys:
+            poly = ch.terms[key]
+            text = memo.get(poly.coeffs)
+            if text is None:
+                text = memo[poly.coeffs] = render(poly)
+            yield key, text
+
+    def json_terms():
+        if not keys:
+            return _Verbatim("[]")
+        row, field, entry = "\n    ", "\n      ", "\n        "
+        head = "{" + field + '"coefficient": '
+        middle = "," + field + '"exponents": [' + entry
+        tail = field + "]" + row + "}"
+        prefixes = texts(lambda poly: head + _json_text(poly.coeffs, field) + middle)
+        items = [
+            prefix + ("," + entry).join(map(int.__repr__, key)) + tail
+            for key, prefix in prefixes
+        ]
+        return _Verbatim("[" + row + ("," + row).join(items) + "\n  ]")
+
     return _render(
         args,
-        lambda: {**ch.to_json(), "q1_dimension": ch.q1_dimension(), **extra},
+        lambda: {
+            "rank": ch.n,
+            "terms": json_terms(),
+            "q1_dimension": ch.q1_dimension(),
+            **extra,
+        },
         ["x%d" % (i + 1) for i in range(ch.n + 1)] + ["coefficient"],
-        lambda: ([*key, str(ch.terms[key])] for key in sorted(ch.terms)),
+        lambda: ([*key, text] for key, text in texts(str)),
         lambda: plain_head
         + ["dimension(q=1): %d" % ch.q1_dimension()]
-        + ["x^%s: %s" % (_exp_str(key), ch.terms[key]) for key in sorted(ch.terms)],
+        + ["x^%s: %s" % (_exp_str(key), text) for key, text in texts(str)],
     )
 
 

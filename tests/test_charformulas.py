@@ -386,6 +386,36 @@ class TestCarriedDominantTerms:
         assert (a == b) is same
         assert (b == a) is same
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_q1_dimension_from_dominant_terms(self, data):
+        # an orbit fill adds one coefficient per orbit, times the orbit's
+        # size; the sum over every term is the reference
+        n = data.draw(st.integers(1, 3))
+        weights = st.tuples(*(st.integers(0, 2) for _ in range(n))).map(
+            lambda coeffs: Weight(n, coeffs)
+        )
+        polys = st.dictionaries(st.integers(0, 2), st.integers(-3, 3), max_size=3)
+        a = qwhittaker_char(data.draw(weights))
+        kind = data.draw(st.sampled_from(("weyl", "product", "sum")))
+        if kind == "weyl":
+            ch = a
+        elif kind == "product":
+            ch = a * qwhittaker_char(data.draw(weights))
+        else:
+            # det twists keep each degree gap a multiple of n + 1, and the
+            # first term is the most twisted, as the sum twists up to it
+            twists = data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))
+            terms = [
+                (a.det_twist(c), QPoly(data.draw(polys)))
+                for c in sorted(twists, reverse=True)
+            ]
+            ch = _homogeneous_sum(n, terms)
+        assert ch._dominant is not None
+        reference = sum(p.at_one() for p in ch.terms.values())
+        assert ch.q1_dimension() == reference
+        assert GradedCharacter(n, dict(ch.terms)).q1_dimension() == reference
+
     def test_peel_copies_carried_terms(self):
         # qwhittaker_char(w) is cached and carries its dominant terms: a peel
         # that wrote to them would spoil every later character of that row

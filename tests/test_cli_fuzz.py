@@ -5,19 +5,22 @@ never lets an exception escape (which the console script would print as a
 traceback). Ranks, weights and m, k stay small: there is no size guard yet,
 so a large input would only run long.
 
-The JSON emitter is checked against the stdlib encoder it stands in for.
+The JSON emitter is checked against the stdlib encoder it stands in for, and
+the character renderer against the per-term rendering it replaced.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import csv
 import io
 import json
 from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
-from weylchar import cli
+from weylchar import GradedCharacter, QPoly, Weight, cli, qwhittaker_char
 from weylchar.charformulas import TENSOR_VARIANTS
 
 JUNK = st.sampled_from(["", "x", "1,,2", "1.5", " 2", "-"])
@@ -182,3 +185,70 @@ NATIVE = st.recursive(
 @example(((1, 2), [True, 1], {"": [[], {}, ()]}))
 def test_json_text_matches_the_stdlib_encoder(value):
     assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@st.composite
+def characters(draw):
+    """An orbit fill from the branching rule, or a nonsymmetric character.
+
+    The nonsymmetric ones put a few coefficients, negative and beyond 2**64
+    among them, on unrelated keys, so that equal coefficients sit on keys
+    of different orbits and keys of one orbit carry different coefficients.
+    """
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        coeffs = draw(
+            st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(
+                lambda c: sum(c) <= max(2, 6 - n)
+            )
+        )
+        return qwhittaker_char(Weight(n, coeffs))
+    n = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.lists(INTS, min_size=1, max_size=4), min_size=1, max_size=3))
+    keys = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * (n + 1)),
+            st.integers(0, len(pool) - 1),
+            max_size=12,
+        )
+    )
+    # a new QPoly per key: equal coefficients need not be one object
+    return GradedCharacter(n, {key: QPoly(enumerate(pool[i])) for key, i in keys.items()})
+
+
+EXTRAS = st.sampled_from(
+    [
+        {"command": "char", "weight": [2, 1]},
+        {"command": "tensor", "variant": "omega1_omegan", "m": 1, "k": 1},
+    ]
+)
+
+
+def _rendered(ch, fmt, head, extra):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli._render_character(argparse.Namespace(format=fmt, out=None), ch, head, extra)
+    assert code == 0
+    return out.getvalue()
+
+
+@settings(max_examples=120, deadline=None)
+@given(characters(), EXTRAS)
+def test_character_render_matches_the_per_term_reference(ch, extra):
+    # the reference renders every term on its own, as the CLI once did
+    head = ["rank: %d" % ch.n]
+    keys = sorted(ch.terms)
+    q1 = sum(p.at_one() for p in ch.terms.values())
+    payload = {**ch.to_json(), "q1_dimension": q1, **extra}
+    assert _rendered(ch, "json", head, extra) == json.dumps(
+        payload, indent=2, sort_keys=True
+    ) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["x%d" % (i + 1) for i in range(ch.n + 1)] + ["coefficient"])
+    writer.writerows([*key, str(ch.terms[key])] for key in keys)
+    assert _rendered(ch, "csv", head, extra) == buf.getvalue()
+    lines = head + ["dimension(q=1): %d" % q1] + [
+        "x^(%s): %s" % (",".join(str(e) for e in key), ch.terms[key]) for key in keys
+    ]
+    assert _rendered(ch, "plain", head, extra) == "\n".join(lines) + "\n"
