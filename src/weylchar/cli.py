@@ -116,14 +116,21 @@ def _json_text(obj, lead="\n"):
             items = [_json_text(item, inner) for item in obj]
         return "[" + inner + ("," + inner).join(items) + lead + "]"
     if type(obj) is _Verbatim:
-        return obj
+        return "".join(obj.parts)
     return json.dumps(obj)
 
 
-class _Verbatim(str):
-    """Finished JSON text that _json_text writes as it is, for one known place."""
+class _Verbatim:
+    """Finished JSON text for one known place, in pieces that _json_text joins.
 
-    __slots__ = ()
+    The pieces are joined only when written, so the payload does not hold a
+    second copy of the text while _json_text builds the document around it.
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        self.parts = parts
 
 
 def _exp_str(key):
@@ -152,17 +159,27 @@ def _render_character(args, ch, plain_head, extra):
 
     def json_terms():
         if not keys:
-            return _Verbatim("[]")
-        row, field, entry = "\n    ", "\n      ", "\n        "
+            return _Verbatim(["[]"])
+        # the indents _json_text gives "terms", a key of the payload, and
+        # the terms, their fields and the exponents within
+        lead = "\n  "
+        row = lead + "  "
+        field = row + "  "
+        entry = field + "  "
         head = "{" + field + '"coefficient": '
         middle = "," + field + '"exponents": [' + entry
-        tail = field + "]" + row + "}"
-        prefixes = texts(lambda poly: head + _json_text(poly.coeffs, field) + middle)
-        items = [
-            prefix + ("," + entry).join(map(int.__repr__, key)) + tail
-            for key, prefix in prefixes
-        ]
-        return _Verbatim("[" + row + ("," + row).join(items) + "\n  ]")
+        comma = "," + entry
+        close = field + "]" + row + "}"
+        between = close + "," + row
+        # pieces, not one string per term: a coefficient's text is shared by
+        # its keys, not copied, until the one join
+        parts = ["[" + row]
+        for key, prefix in texts(
+            lambda poly: head + _json_text(poly.coeffs, field) + middle
+        ):
+            parts += (prefix, comma.join(map(int.__repr__, key)), between)
+        parts[-1] = close + lead + "]"
+        return _Verbatim(parts)
 
     return _render(
         args,
