@@ -3,9 +3,7 @@ and truncation identities, and decomposition into the Weyl-character basis.
 
 A GradedCharacter is a Z[q]-linear combination of monomials in n+1 variables
 x_1, ..., x_{n+1}, keyed by exponent tuples (gl-style). The sl-character is
-read off by ignoring overall determinant factors; sl_normalize() re-keys
-every monomial so its exponent minimum is zero, which is lossless within a
-character whose monomials share a total degree.
+read off by ignoring overall determinant factors.
 
 Graded Weyl characters are q-Whittaker functions P_lam(x; q, 0), built by the
 branching rule (Macdonald, *Symmetric Functions and Hall Polynomials*, 2nd
@@ -24,10 +22,10 @@ polynomial multiplication via multipoint Kronecker substitution", 2009),
 done once per memo entry instead of once per psi multiply. Its psi products
 and sums are int * and +. Every coefficient of P_row has nonnegative
 coefficients adding up to at most dim W(row), so w, the byte length of
-dim W(row), leaves no carry between the w-byte slots. Values are unpacked
-to QPoly (qalg._unsigned_coeffs, the one reader of unsigned slots) at the
-orbit fill of a character and at each step of the peel; every API, result
-and character cache holds QPoly.
+dim W(row), leaves no carry between the w-byte slots. qalg owns the slots:
+_unsigned_value packs the q-binomial weights, and _unsigned_coeffs unpacks
+values to QPoly at the orbit fill of a character and at each step of the
+peel; every API, result and character cache holds QPoly.
 
 Every character the paper handles is symmetric, so its dominant terms
 determine it. _dominant_terms is the one symmetry test and split, and
@@ -77,6 +75,7 @@ from .qalg import (
     _signed_value,
     _slot_width,
     _unsigned_coeffs,
+    _unsigned_value,
     _wrap,
     q_binomial,
     q_pochhammer,
@@ -216,13 +215,6 @@ class GradedCharacter:
         """Set q = 0, keeping only constant terms."""
         return GradedCharacter(
             self.n, {k: p.constant_term() for k, p in self.terms.items()}
-        )
-
-    def sl_normalize(self):
-        """Divide each monomial by det^{min exponent}; canonical sl form."""
-        return GradedCharacter(
-            self.n,
-            ((tuple(e - min(k) for e in k), p) for k, p in self.terms.items()),
         )
 
     def total_degree(self):
@@ -587,10 +579,7 @@ def _row_width(row):
 @functools.lru_cache(maxsize=None)
 def _packed_binomial(n, r, width):
     """[n r]_q evaluated at q = 256^width."""
-    value = 0
-    for c in reversed(q_binomial(n, r).coeffs):
-        value = (value << 8 * width) + c
-    return value
+    return _unsigned_value(q_binomial(n, r).coeffs, width)
 
 
 def _unpack(value, width):

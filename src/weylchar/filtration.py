@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
 
 from .charformulas import (
     _homogeneous_sum,
@@ -30,18 +29,47 @@ from .charformulas import (
     tensor_char_fundamental,
     tensor_factors,
 )
-from .qalg import QPoly, q_binomial
+from .qalg import q_binomial
 from .weights import Partition, RankMismatchError, Root, Weight, pairing
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class _Value:
+    """Frozen record: equality, hash and repr go by the fields in __slots__."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ["%s=%r" % pair for pair in zip(self.__slots__, self._values())]
+        return "%s(%s)" % (type(self).__name__, ", ".join(fields))
+
+
+class VerificationReport(_Value):
     """Outcome of one identity check: status is 'pass', 'fail' or 'skip'."""
 
-    name: str
-    params: dict
-    status: str
-    detail: dict = field(default_factory=dict)
+    __slots__ = ("name", "params", "status", "detail")
+
+    def __init__(self, name, params, status, detail=None):
+        _Value.__init__(self, name, params, status, {} if detail is None else detail)
 
     @property
     def passed(self):
@@ -136,8 +164,7 @@ def truncated_dim_check(lam, j):
     )
 
 
-@dataclass(frozen=True)
-class FiltrationLayer:
+class FiltrationLayer(_Value):
     """One graded layer family of a tensor-product filtration.
 
     multiplicity counts the layers of each grade shift: the number of layers
@@ -145,11 +172,10 @@ class FiltrationLayer:
     largest shift that occurs (the degree of the multiplicity polynomial).
     """
 
-    family: str
-    index: int
-    params: dict
-    multiplicity: QPoly
-    shift_bound: int
+    __slots__ = ("family", "index", "params", "multiplicity", "shift_bound")
+
+    def __init__(self, family, index, params, multiplicity, shift_bound):
+        _Value.__init__(self, family, index, params, multiplicity, shift_bound)
 
     def to_json(self):
         return {
@@ -250,8 +276,7 @@ def fusion_dim(j, lam1, lam2, lam3):
     )
 
 
-@dataclass(frozen=True)
-class XiTuple:
+class XiTuple(_Value):
     """Per-root partition data xi attached to a fusion module M_j.
 
     For each positive root alpha the tuple lists one entry per atom, largest
@@ -261,10 +286,10 @@ class XiTuple:
     j*theta)(h_alpha).
     """
 
-    j: int
-    lam1: Weight
-    lam2: Weight
-    lam3: Weight
+    __slots__ = ("j", "lam1", "lam2", "lam3")
+
+    def __init__(self, j, lam1, lam2, lam3):
+        _Value.__init__(self, j, lam1, lam2, lam3)
 
     def xi(self, alpha):
         two_extra = self.j if (alpha.i, alpha.j) == (1, 2) else 0

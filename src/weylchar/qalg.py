@@ -18,7 +18,7 @@ Packed values hold their lowest slot in their lowest bytes, and every slot is
 little-endian, on every host: ints go to and from bytes in "little" order,
 and a machine-integer array is byteswapped on a big-endian host. This module
 is the only one that turns packed values into bytes; the row memo of
-charformulas reads its unsigned slots through _unsigned_coeffs.
+charformulas packs and reads its slots by _unsigned_value and _unsigned_coeffs.
 """
 
 from __future__ import annotations
@@ -116,6 +116,13 @@ def _unsigned_coeffs(value, width):
     if _BYTESWAP:
         slots.byteswap()
     return tuple(slots)
+
+
+def _unsigned_value(coeffs, width):
+    """Inverse of _unsigned_coeffs: the value at q = 256^width of coefficients
+    in [0, 256^width); any other coefficient raises OverflowError."""
+    data = b"".join([c.to_bytes(width, "little") for c in coeffs])
+    return int.from_bytes(data, "little")
 
 
 @functools.cache
@@ -283,19 +290,6 @@ class QPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = QPoly.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def divide_exact(self, divisor):
         """Exact quotient self / divisor in Z[q]; IntegralityError otherwise."""
         if isinstance(divisor, int):
@@ -363,13 +357,6 @@ def one_minus_q(k):
     if k == 0:
         return QPoly.zero()
     return QPoly({0: 1, k: -1})
-
-
-def q_int(m):
-    """[m]_q = 1 + q + ... + q^{m-1}; zero for m <= 0."""
-    if m <= 0:
-        return QPoly.zero()
-    return _wrap((1,) * m)
 
 
 @functools.cache

@@ -155,11 +155,6 @@ class TestGradedCharacter:
         with pytest.raises(TypeError):
             qwhittaker_char(Weight(2, (1, 1))).det_twist(1.5)
 
-    def test_sl_normalize_merges_nothing_within_size(self):
-        a = GradedCharacter(1, {(3, 1): 1, (2, 0): QPoly.q()})
-        normalized = a.sl_normalize()
-        assert normalized.terms == {(2, 0): QPoly.one() + QPoly.q()}
-
     def test_symmetry(self):
         sym = GradedCharacter(1, {(1, 0): QPoly.q(), (0, 1): QPoly.q()})
         asym = GradedCharacter(1, {(1, 0): QPoly.q(), (0, 1): QPoly.one()})

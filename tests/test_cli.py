@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -32,6 +34,22 @@ def test_import_is_cold():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "0 False\n"
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # every CLI call is a cold interpreter, and these two modules alone add
+    # about 12 ms to its import
+    probe = (
+        "import sys, weylchar.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 class TestDim:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 import pytest
@@ -36,6 +35,75 @@ def w2(a, b):
 
 def w3(a, b, c):
     return Weight(3, (a, b, c))
+
+
+VALUES = [
+    (VerificationReport("x", {}, "pass"), "status"),
+    (FiltrationLayer("truncated", 0, {}, QPoly.one(), 0), "multiplicity"),
+    (XiTuple(1, w2(1, 0), w2(0, 1), w2(1, 1)), "lam2"),
+]
+
+
+@pytest.mark.parametrize("obj,attr", VALUES)
+def test_immutable(obj, attr):
+    with pytest.raises(AttributeError, match="%s is immutable" % type(obj).__name__):
+        setattr(obj, attr, None)
+    with pytest.raises(AttributeError, match="%s is immutable" % type(obj).__name__):
+        delattr(obj, attr)
+
+
+class TestValues:
+    def test_report_defaults_to_a_new_detail(self):
+        first = VerificationReport("x", {}, "pass")
+        assert first.detail == {}
+        assert first.detail is not VerificationReport("x", {}, "pass").detail
+
+    def test_keyword_construction(self):
+        assert VerificationReport(
+            name="x", params={"m": 1}, status="skip", detail={"reason": "n/a"}
+        ) == VerificationReport("x", {"m": 1}, "skip", {"reason": "n/a"})
+        assert FiltrationLayer(
+            family="truncated", index=1, params={}, multiplicity=QPoly.q(),
+            shift_bound=1,
+        ) == FiltrationLayer("truncated", 1, {}, QPoly.q(), 1)
+        assert XiTuple(j=2, lam1=w2(0, 0), lam2=w2(1, 0), lam3=w2(0, 1)) == XiTuple(
+            2, w2(0, 0), w2(1, 0), w2(0, 1)
+        )
+
+    def test_repr(self):
+        assert repr(VerificationReport("x", {}, "pass")) == (
+            "VerificationReport(name='x', params={}, status='pass', detail={})"
+        )
+        layer = FiltrationLayer("truncated", 0, {"truncation": 2}, QPoly.one(), 0)
+        assert repr(layer) == (
+            "FiltrationLayer(family='truncated', index=0, params={'truncation': 2},"
+            " multiplicity=QPoly({0: 1}), shift_bound=0)"
+        )
+        assert repr(XiTuple(1, w2(1, 0), w2(0, 1), w2(1, 1))) == (
+            "XiTuple(j=1, lam1=Weight(2, (1, 0)), lam2=Weight(2, (0, 1)),"
+            " lam3=Weight(2, (1, 1)))"
+        )
+
+    def test_equal_values_hash_equal(self):
+        a = XiTuple(1, w2(1, 0), w2(0, 1), w2(1, 1))
+        b = XiTuple(1, w2(1, 0), w2(0, 1), w2(1, 1))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != XiTuple(2, w2(1, 0), w2(0, 1), w2(1, 1))
+        assert extract_filtration(2, 1, "truncated") == extract_filtration(
+            2, 1, "truncated"
+        )
+
+    def test_equality_needs_the_same_class(self):
+        report = VerificationReport("x", {}, "pass")
+        assert report != ("x", {}, "pass", {})
+        assert report != VerificationReport("x", {}, "fail")
+
+    def test_dict_fields_are_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(VerificationReport("x", {}, "pass"))
+        with pytest.raises(TypeError):
+            hash(FiltrationLayer("truncated", 0, {}, QPoly.one(), 0))
 
 
 class TestVerificationReport:
@@ -164,7 +232,10 @@ class TestFiltrationLayers:
         # a wrong multiplicity on one published layer must fail the check
         def tampered(*args):
             layers = extract_filtration(*args)
-            layers[-1] = dataclasses.replace(layers[-1], multiplicity=QPoly.const(2))
+            last = layers[-1]
+            layers[-1] = FiltrationLayer(
+                last.family, last.index, last.params, QPoly.const(2), last.shift_bound
+            )
             return layers
 
         assert check().passed
