@@ -85,6 +85,7 @@ from .weights import (
     RankMismatchError,
     Root,
     Weight,
+    _Value,
     partition_to_weight,
     root_weight,
     weight_to_bounding_partition,
@@ -95,7 +96,7 @@ class DecompositionError(RuntimeError):
     """Raised when a function is not a Z[q]-combination of Weyl characters."""
 
 
-class GradedCharacter:
+class GradedCharacter(_Value):
     """Z[q]-combination of monomials x^e, e an (n+1)-tuple of exponents.
 
     `terms` maps each exponent tuple to a nonzero QPoly. Treat it as
@@ -119,9 +120,6 @@ class GradedCharacter:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", data)
         object.__setattr__(self, "_dominant", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedCharacter is immutable")
 
     @classmethod
     def zero(cls, n):
@@ -232,6 +230,8 @@ class GradedCharacter:
         if self._dominant is not None and other._dominant is not None:
             return self._dominant == other._dominant
         return self.terms == other.terms
+
+    __hash__ = None  # equality reads the terms dict
 
     def __repr__(self):
         return "GradedCharacter(%d, %d terms)" % (self.n, len(self.terms))

@@ -30,37 +30,15 @@ from .charformulas import (
     tensor_factors,
 )
 from .qalg import q_binomial
-from .weights import Partition, RankMismatchError, Root, Weight, pairing
+from .weights import Partition, RankMismatchError, Root, Weight, _Value, pairing
 
-
-class _Value:
-    """Frozen record: equality, hash and repr go by the fields in __slots__."""
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("%s is immutable" % type(self).__name__)
-
-    __delattr__ = __setattr__
-
-    def _values(self):
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ["%s=%r" % pair for pair in zip(self.__slots__, self._values())]
-        return "%s(%s)" % (type(self).__name__, ", ".join(fields))
+# each filtration family: the tensor_factors variant of the product it
+# filters, and the m_module_char variant of its layers (None: truncated)
+_FAMILIES = {
+    "truncated": ("omega1_omegan", None),
+    "m_module_first": ("omega1_omega1", "first"),
+    "m_module_last": ("omegan_omegan", "last"),
+}
 
 
 class VerificationReport(_Value):
@@ -113,7 +91,7 @@ def verify_truncated_product(m, k, rank):
     (k-i) omega_n at truncation level max(m,k)-i.
     """
     params = {"m": m, "k": k, "rank": rank}
-    return _verify_filtration("truncated-product", params, "truncated", "omega1_omegan")
+    return _verify_filtration("truncated-product", params, "truncated")
 
 
 def verify_m_module_product(variant, m, k, rank):
@@ -127,19 +105,18 @@ def verify_m_module_product(variant, m, k, rank):
         "m-module-product",
         {"variant": variant, "m": m, "k": k, "rank": rank},
         "m_module_" + variant,
-        "omega1_omega1" if variant == "first" else "omegan_omegan",
     )
 
 
-def _verify_filtration(name, params, family, tensor_variant):
-    """Brute product of the two factors of tensor_variant vs its layers.
+def _verify_filtration(name, params, family):
+    """Brute product of the two factors that family filters vs its layers.
 
     The layers are those extract_filtration publishes: each layer character
     times its multiplicity, det-twisted to the product's total degree.
     """
     m, k, rank = params["m"], params["k"], params["rank"]
     layers = extract_filtration(m, k, family, rank)
-    a, b = tensor_factors(tensor_variant, m, k, rank)
+    a, b = tensor_factors(_FAMILIES[family][0], m, k, rank)
     product = char_multiply(qwhittaker_char(a), qwhittaker_char(b))
     total = _homogeneous_sum(
         rank, ((layer_character(layer, rank), layer.multiplicity) for layer in layers)
@@ -189,16 +166,16 @@ class FiltrationLayer(_Value):
 
 def layer_character(layer, rank):
     """Graded character of a single (unshifted) layer module."""
-    if layer.family == "truncated":
+    if layer.family not in _FAMILIES:
+        raise ValueError("unknown layer family %r" % (layer.family,))
+    variant = _FAMILIES[layer.family][1]
+    if variant is None:
         w = Weight(rank, layer.params["weight"])
         j = pairing(w, Root.highest(rank)) - layer.params["truncation"]
         return truncated_char(w, j)
-    if layer.family in ("m_module_first", "m_module_last"):
-        variant = "first" if layer.family == "m_module_first" else "last"
-        return m_module_char(
-            Weight(rank, tuple(layer.params["nu"])), layer.params["lam_scale"], variant
-        )
-    raise ValueError("unknown layer family %r" % (layer.family,))
+    return m_module_char(
+        Weight(rank, tuple(layer.params["nu"])), layer.params["lam_scale"], variant
+    )
 
 
 def extract_filtration(m, k, family, rank=2):
@@ -214,7 +191,7 @@ def extract_filtration(m, k, family, rank=2):
     multiplicity polynomial [min(m,k) r]_q, and its grade shifts are bounded
     by (min(m,k)-r)*r, the degree of that polynomial.
     """
-    if family not in ("truncated", "m_module_first", "m_module_last"):
+    if family not in _FAMILIES:
         raise ValueError("unknown filtration family %r" % (family,))
     m, k, rank = operator.index(m), operator.index(k), operator.index(rank)
     if rank < 2:

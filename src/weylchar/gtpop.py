@@ -17,10 +17,10 @@ import itertools
 import math
 import operator
 
-from .weights import Partition, Weight, weight_to_bounding_partition
+from .weights import Partition, Weight, _Value, weight_to_bounding_partition
 
 
-class GTPattern:
+class GTPattern(_Value):
     """Triangular interlacing pattern; rows[0] is the single-entry top row."""
 
     __slots__ = ("rows",)
@@ -44,9 +44,6 @@ class GTPattern:
                     raise ValueError("rows %d and %d fail to interlace" % (i, i + 1))
         object.__setattr__(self, "rows", rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GTPattern is immutable")
-
     @property
     def n(self):
         return len(self.rows) - 1
@@ -57,12 +54,6 @@ class GTPattern:
 
     def bounding(self):
         return Partition(self.rows[-1])
-
-    def __eq__(self, other):
-        return isinstance(other, GTPattern) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __repr__(self):
         return "GTPattern(%r)" % (self.rows,)
@@ -145,7 +136,7 @@ def bounded_partitions(parts, bound):
             yield (first,) + rest
 
 
-class POP:
+class POP(_Value):
     """Partition-overlaid pattern: a GTPattern plus one overlay per cell."""
 
     __slots__ = ("pattern", "overlays")
@@ -169,9 +160,6 @@ class POP:
         object.__setattr__(self, "pattern", pattern)
         object.__setattr__(self, "overlays", overlays)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("POP is immutable")
-
     def overlay(self, j, i):
         return self.overlays[(j, i)]
 
@@ -185,13 +173,6 @@ class POP:
         for p in self.overlays[(j, i)]:
             data[p] = data.get(p, 0) + 1
         return data
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, POP)
-            and self.pattern == other.pattern
-            and self.overlays == other.overlays
-        )
 
     def __hash__(self):
         return hash((self.pattern, tuple(sorted(self.overlays.items()))))
@@ -281,7 +262,7 @@ def lowest_weight_pop(lam):
     return POP(pattern, overlays)
 
 
-class BasisWord:
+class BasisWord(_Value):
     """Ordered product of root-vector factors (y_{ij} tensor t^s)^{r(s)}.
 
     factors is a tuple of ((i, j), powers) pairs in word order: blocks
@@ -306,9 +287,6 @@ class BasisWord:
                 raise ValueError("powers map part sizes >= 0 to multiplicities >= 1")
         object.__setattr__(self, "factors", factors)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BasisWord is immutable")
-
     def t_degree(self):
         return sum(
             s * r for _, powers in self.factors for s, r in powers.items()
@@ -320,9 +298,6 @@ class BasisWord:
             if (fi, fj) == (i, j):
                 return sum(powers.values())
         return 0
-
-    def __eq__(self, other):
-        return isinstance(other, BasisWord) and self.factors == other.factors
 
     def __hash__(self):
         return hash(

@@ -28,6 +28,8 @@ import sys
 from array import array
 from operator import add, index
 
+from .weights import _Value
+
 # slots are little-endian on every host, so a big-endian host byteswaps the
 # arrays it packs and unpacks
 _BYTESWAP = sys.byteorder == "big"
@@ -168,7 +170,7 @@ def _mul_kronecker(a, b):
     return _signed_coeffs(_signed_value(a, width) * _signed_value(b, width), width)
 
 
-class QPoly:
+class QPoly(_Value):
     """Dense polynomial in q with integer coefficients.
 
     ``coeffs`` is the tuple (c_0, ..., c_deg) with no trailing zeros. The
@@ -192,9 +194,6 @@ class QPoly:
         for k, c in data.items():
             dense[k] = c
         object.__setattr__(self, "coeffs", _trim(dense))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QPoly is immutable")
 
     @classmethod
     def zero(cls):

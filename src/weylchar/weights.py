@@ -3,6 +3,10 @@
 Weights live in the fundamental-weight basis omega_1, ..., omega_n of a
 fixed rank n. Positive roots are the intervals alpha_{ij} = alpha_i + ... +
 alpha_j for 1 <= i <= j <= n, with highest root theta = alpha_{1n}.
+
+This module also holds _Value, the one frozen base of every value type in
+the package: it imports nothing from the package, so every other module can
+build on it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,45 @@ class RankMismatchError(ValueError):
     """Raised when objects of incompatible ranks are combined."""
 
 
-class Weight:
+class _Value:
+    """Frozen value: setting or deleting a field raises AttributeError.
+
+    Fields are the names in __slots__, stored once by the constructor with
+    object.__setattr__. Equality needs the same class and equal fields, the
+    hash is that of the fields (of the one field, if only one), and the
+    repr lists them by name; a subclass states what it does differently.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # one getter per class, so equality and hash read no field by name
+        cls._fields = operator.attrgetter(*cls.__slots__)
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ["%s=%r" % (name, getattr(self, name)) for name in self.__slots__]
+        return "%s(%s)" % (type(self).__name__, ", ".join(fields))
+
+
+class Weight(_Value):
     """Integral sl(n+1) weight sum(coeffs[i-1] * omega_i)."""
 
     __slots__ = ("n", "coeffs")
@@ -30,9 +72,6 @@ class Weight:
             )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Weight is immutable")
 
     @classmethod
     def zero(cls, n):
@@ -72,21 +111,11 @@ class Weight:
             return NotImplemented
         return Weight(self.n, tuple(scalar * c for c in self.coeffs))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Weight)
-            and self.n == other.n
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.coeffs))
-
     def __repr__(self):
         return "Weight(%d, %r)" % (self.n, self.coeffs)
 
 
-class Root:
+class Root(_Value):
     """Positive root alpha_{ij} = alpha_i + ... + alpha_j, 1 <= i <= j."""
 
     __slots__ = ("i", "j")
@@ -98,9 +127,6 @@ class Root:
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "j", j)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Root is immutable")
-
     @classmethod
     def simple(cls, i):
         return cls(i, i)
@@ -109,12 +135,6 @@ class Root:
     def highest(cls, n):
         """theta = alpha_1 + ... + alpha_n."""
         return cls(1, n)
-
-    def __eq__(self, other):
-        return isinstance(other, Root) and (self.i, self.j) == (other.i, other.j)
-
-    def __hash__(self):
-        return hash((self.i, self.j))
 
     def __repr__(self):
         return "Root(%d, %d)" % (self.i, self.j)
@@ -150,7 +170,7 @@ def root_weight(alpha, n):
     return Weight(n, coeffs)
 
 
-class Partition:
+class Partition(_Value):
     """Weakly decreasing tuple of nonnegative integers; trailing zeros ignored."""
 
     __slots__ = ("parts",)
@@ -164,9 +184,6 @@ class Partition:
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
 
     def size(self):
         return sum(self.parts)
@@ -188,12 +205,6 @@ class Partition:
                 for j in range(1, self.parts[0] + 1)
             )
         )
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
 
     def __iter__(self):
         return iter(self.parts)

@@ -122,6 +122,20 @@ class TestGradedCharacter:
     def test_immutable(self):
         with pytest.raises(AttributeError, match="GradedCharacter is immutable"):
             GradedCharacter.one(1).n = 2
+        with pytest.raises(AttributeError, match="GradedCharacter is immutable"):
+            del GradedCharacter.one(1).n
+
+    def test_cached_character_refuses_del(self):
+        # qwhittaker_char hands every caller the same cached character
+        lam = Weight(2, (1, 1))
+        shared = qwhittaker_char(lam)
+        terms, dominant = dict(shared.terms), shared._dominant
+        for attr in GradedCharacter.__slots__:
+            with pytest.raises(AttributeError, match="GradedCharacter is immutable"):
+                delattr(shared, attr)
+        assert qwhittaker_char(lam) is shared
+        assert (shared.n, shared.terms, shared._dominant) == (2, terms, dominant)
+        assert shared.q1_dimension() == 9
 
     def test_char_multiply_needs_characters(self):
         with pytest.raises(TypeError, match="expects two GradedCharacter operands"):

@@ -5,7 +5,11 @@ import itertools
 import pytest
 
 from weylchar import (
+    BasisWord,
     FiltrationLayer,
+    GTPattern,
+    GradedCharacter,
+    POP,
     Partition,
     QPoly,
     RankMismatchError,
@@ -16,6 +20,7 @@ from weylchar import (
     extract_filtration,
     fusion_dim,
     layer_character,
+    lowest_weight_pop,
     pairing,
     q_binomial,
     qwhittaker_char,
@@ -27,6 +32,7 @@ from weylchar import (
     verify_truncated_product,
 )
 from weylchar import filtration
+from weylchar.weights import _Value
 
 
 def w2(a, b):
@@ -42,6 +48,24 @@ VALUES = [
     (FiltrationLayer("truncated", 0, {}, QPoly.one(), 0), "multiplicity"),
     (XiTuple(1, w2(1, 0), w2(0, 1), w2(1, 1)), "lam2"),
 ]
+
+
+# one value of every _Value subclass, built afresh on each call
+VALUE_FACTORIES = {
+    Weight: lambda: Weight(2, (1, 0)),
+    Root: lambda: Root(1, 2),
+    Partition: lambda: Partition((2, 1)),
+    QPoly: lambda: QPoly({0: 1, 2: 3}),
+    GradedCharacter: lambda: GradedCharacter(1, {(1, 0): QPoly.q()}),
+    GTPattern: lambda: GTPattern([(0,), (1, 0)]),
+    POP: lambda: lowest_weight_pop(Weight(1, (1,))),
+    BasisWord: lambda: BasisWord([((1, 1), {0: 1})]),
+    VerificationReport: lambda: VerificationReport("x", {}, "pass"),
+    FiltrationLayer: lambda: FiltrationLayer("truncated", 0, {}, QPoly.one(), 0),
+    XiTuple: lambda: XiTuple(1, w2(1, 0), w2(0, 1), w2(1, 1)),
+}
+# their fields hold dicts, or (GradedCharacter) equality reads the terms
+UNHASHABLE = {GradedCharacter, VerificationReport, FiltrationLayer}
 
 
 @pytest.mark.parametrize("obj,attr", VALUES)
@@ -84,20 +108,44 @@ class TestValues:
             " lam3=Weight(2, (1, 1)))"
         )
 
+    def test_every_value_class_is_covered(self):
+        assert set(_Value.__subclasses__()) == set(VALUE_FACTORIES)
+
     def test_equal_values_hash_equal(self):
-        a = XiTuple(1, w2(1, 0), w2(0, 1), w2(1, 1))
-        b = XiTuple(1, w2(1, 0), w2(0, 1), w2(1, 1))
-        assert a == b and hash(a) == hash(b)
-        assert len({a, b}) == 1
-        assert a != XiTuple(2, w2(1, 0), w2(0, 1), w2(1, 1))
+        for cls, factory in VALUE_FACTORIES.items():
+            a, b = factory(), factory()
+            assert a is not b and a == b and not a != b, cls
+            if cls in UNHASHABLE:
+                with pytest.raises(TypeError):
+                    hash(a)
+            else:
+                assert hash(a) == hash(b), cls
+                assert len({a, b}) == 1, cls
+        assert XiTuple(1, w2(1, 0), w2(0, 1), w2(1, 1)) != XiTuple(
+            2, w2(1, 0), w2(0, 1), w2(1, 1)
+        )
         assert extract_filtration(2, 1, "truncated") == extract_filtration(
             2, 1, "truncated"
         )
 
     def test_equality_needs_the_same_class(self):
-        report = VerificationReport("x", {}, "pass")
-        assert report != ("x", {}, "pass", {})
-        assert report != VerificationReport("x", {}, "fail")
+        for cls, factory in VALUE_FACTORIES.items():
+            value = factory()
+            fields = tuple(getattr(value, name) for name in cls.__slots__)
+            assert value != fields and value != fields[0], cls
+            for other_cls, other in VALUE_FACTORIES.items():
+                if other_cls is not cls:
+                    assert value != other() and other() != value, (cls, other_cls)
+        assert VerificationReport("x", {}, "pass") != VerificationReport("x", {}, "fail")
+
+    def test_hashes_are_the_field_hashes(self):
+        assert hash(Weight(2, (1, 0))) == hash((2, (1, 0)))
+        assert hash(Root(1, 2)) == hash((1, 2))
+        assert hash(Partition((2, 1))) == hash((2, 1))
+        assert hash(GTPattern([(0,), (1, 0)])) == hash(((0,), (1, 0)))
+        assert hash(XiTuple(1, w2(1, 0), w2(0, 1), w2(1, 1))) == hash(
+            (1, w2(1, 0), w2(0, 1), w2(1, 1))
+        )
 
     def test_dict_fields_are_unhashable(self):
         with pytest.raises(TypeError):

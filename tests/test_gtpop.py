@@ -372,3 +372,5 @@ class TestCellBounds:
 def test_immutable(obj, attr):
     with pytest.raises(AttributeError, match="%s is immutable" % type(obj).__name__):
         setattr(obj, attr, None)
+    with pytest.raises(AttributeError, match="%s is immutable" % type(obj).__name__):
+        delattr(obj, attr)

@@ -50,6 +50,16 @@ class TestQPoly:
     def test_immutable(self):
         with pytest.raises(AttributeError, match="QPoly is immutable"):
             QPoly.one().coeffs = (2,)
+        with pytest.raises(AttributeError, match="QPoly is immutable"):
+            del QPoly.one().coeffs
+
+    def test_cached_value_refuses_del(self):
+        # q_binomial hands every caller the same QPoly
+        shared = q_binomial(4, 2)
+        with pytest.raises(AttributeError, match="QPoly is immutable"):
+            del shared.coeffs
+        assert q_binomial(4, 2) is shared
+        assert shared.coeffs == (1, 1, 2, 1, 1)
 
     @pytest.mark.parametrize("c", [0, 5, -2])
     def test_constant_hashes_as_int(self, c):

@@ -257,3 +257,5 @@ class TestDominance:
 def test_immutable(obj, attr):
     with pytest.raises(AttributeError, match="%s is immutable" % type(obj).__name__):
         setattr(obj, attr, None)
+    with pytest.raises(AttributeError, match="%s is immutable" % type(obj).__name__):
+        delattr(obj, attr)
