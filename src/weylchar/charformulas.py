@@ -502,25 +502,15 @@ def qwhittaker_partition_char(p, n):
         raise ValueError("rank must be a positive integer")
     if not isinstance(p, Partition):
         p = Partition(p)
-    _check_rows(p, n + 1)
-    return _partition_char_cached(p.parts, n)
+    return _partition_char_cached(p.padded(n + 1), n)
 
 
 @functools.lru_cache(maxsize=None)
-def _partition_char_cached(parts, n):
-    row = Partition(parts).padded(n + 1)
+def _partition_char_cached(row, n):
     width = _row_width(row)
     return _orbit_fill(
         n, {k: _unpack(v, width) for k, v in _row_dominant_terms(row, width).items()}
     )
-
-
-def _check_rows(p, rows):
-    """RankMismatchError unless the partition p has at most `rows` parts."""
-    if p.length() > rows:
-        raise RankMismatchError(
-            "partition with %d rows does not fit in %d variables" % (p.length(), rows)
-        )
 
 
 @functools.lru_cache(maxsize=None)
@@ -717,7 +707,6 @@ def product_onerow(m, mu, rank):
     if m < 0:
         raise ValueError("strip size must be nonnegative")
     rows = rank + 1
-    _check_rows(mu, rows)
     mu_p = mu.padded(rows)
     out = []
     for lam in _horizontal_strips(mu_p, m):
@@ -752,6 +741,12 @@ def tensor_factors(variant, m, k, rank):
     return m * Weight.fundamental(rank, a), k * Weight.fundamental(rank, b)
 
 
+def _tensor_product(variant, m, k, rank):
+    """The brute product of the graded Weyl characters of a variant's factors."""
+    a, b = tensor_factors(variant, m, k, rank)
+    return qwhittaker_char(a) * qwhittaker_char(b)
+
+
 def _root_string_sum(lam, beta, coeffs):
     """Sum over i of coeffs[i] * ch W(lam - i*beta), det-twisted to one degree."""
     return _homogeneous_sum(
@@ -783,12 +778,12 @@ def tensor_char_fundamental(variant, m, k, rank):
     a, b = _tensor_edges(variant, rank)
     if m < 0 or k < 0:
         raise ValueError("module parameters must be nonnegative")
-    lam = m * Weight.fundamental(rank, a) + k * Weight.fundamental(rank, b)
+    first, second = tensor_factors(variant, m, k, rank)
     coeffs = [
         q_binomial(m, i) * q_binomial(k, i) * q_pochhammer(i)
         for i in range(min(m, k) + 1)
     ]
-    return _root_string_sum(lam, root_weight(Root(a, b), rank), coeffs)
+    return _root_string_sum(first + second, root_weight(Root(a, b), rank), coeffs)
 
 
 def truncated_char(lam, j):
@@ -816,6 +811,13 @@ def truncated_char(lam, j):
 _M_MODULE_VARIANTS = ("first", "last")
 
 
+def _m_module_edges(variant, n):
+    """(e, e'): the fundamental index of an M-module variant and its neighbour."""
+    if variant not in _M_MODULE_VARIANTS:
+        raise ValueError("unknown variant %r" % (variant,))
+    return (1, 2) if variant == "first" else (n, n - 1)
+
+
 def m_module_char(nu, lam_scale, variant):
     """Graded character of M(nu, lam) for a doubled fundamental lam.
 
@@ -825,16 +827,14 @@ def m_module_char(nu, lam_scale, variant):
     q^{i(lam_scale+nu_e) - i(i-1)/2} times the graded Weyl character at
     nu + lam - i*alpha_e, det-twisted to keep a single total degree.
     """
-    if variant not in _M_MODULE_VARIANTS:
-        raise ValueError("unknown variant %r" % (variant,))
     n = nu.n
+    e, neighbour = _m_module_edges(variant, n)
     if n < 2:
         raise RankMismatchError("M(nu, lam) characters require rank >= 2")
     if lam_scale < 0:
         raise ValueError("lam_scale must be nonnegative")
     if not nu.is_dominant():
         raise ValueError("nu must be dominant")
-    e, neighbour = (1, 2) if variant == "first" else (n, n - 1)
     if any(c and idx not in (e, neighbour) for idx, c in enumerate(nu.coeffs, 1)):
         raise ValueError("nu must be supported on the %s two fundamentals" % variant)
     lam = nu + 2 * lam_scale * Weight.fundamental(n, e)

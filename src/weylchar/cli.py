@@ -29,11 +29,10 @@ from .charformulas import (
     TENSOR_VARIANTS,
     DecompositionError,
     GradedCharacter,
-    char_multiply,
+    _tensor_product,
     decompose_weyl_basis,
     product_onerow,
     qwhittaker_char,
-    tensor_factors,
 )
 from .gtpop import basis_word, enumerate_pops, pop_count
 from .qalg import _trim, _wrap
@@ -286,10 +285,9 @@ def _cmd_pieri(args):
 
 
 def _cmd_tensor(args):
-    a, b = tensor_factors(args.variant, args.m, args.k, args.rank)
     return _render_character(
         args,
-        char_multiply(qwhittaker_char(a), qwhittaker_char(b)),
+        _tensor_product(args.variant, args.m, args.k, args.rank),
         [
             "variant: %s" % args.variant,
             "m: %d" % args.m,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from types import MappingProxyType
 
 from .weights import Partition, Weight, _Value, weight_to_bounding_partition
 
@@ -68,8 +69,6 @@ def _bounding_tuple(source, n):
         if source.n != n:
             raise ValueError("weight rank does not match the requested rank")
         return weight_to_bounding_partition(source).padded(n + 1)
-    if isinstance(source, Partition):
-        return source.padded(n + 1)
     return Partition(source).padded(n + 1)
 
 
@@ -137,7 +136,10 @@ def bounded_partitions(parts, bound):
 
 
 class POP(_Value):
-    """Partition-overlaid pattern: a GTPattern plus one overlay per cell."""
+    """Partition-overlaid pattern: a GTPattern plus one overlay per cell.
+
+    overlays is a read-only view {(j, i): parts}, so a POP keeps its hash.
+    """
 
     __slots__ = ("pattern", "overlays")
 
@@ -158,7 +160,7 @@ class POP(_Value):
             if parts and (parts[0] > b or parts[-1] < 0):
                 raise ValueError("overlay parts at (%d, %d) must lie in [0, %d]" % (j, i, b))
         object.__setattr__(self, "pattern", pattern)
-        object.__setattr__(self, "overlays", overlays)
+        object.__setattr__(self, "overlays", MappingProxyType(overlays))
 
     def overlay(self, j, i):
         return self.overlays[(j, i)]
@@ -178,7 +180,7 @@ class POP(_Value):
         return hash((self.pattern, tuple(sorted(self.overlays.items()))))
 
     def __repr__(self):
-        return "POP(%r, %r)" % (self.pattern, self.overlays)
+        return "POP(%r, %r)" % (self.pattern, dict(self.overlays))
 
     def to_json(self):
         return {
@@ -267,7 +269,8 @@ class BasisWord(_Value):
 
     factors is a tuple of ((i, j), powers) pairs in word order: blocks
     y_1 y_2 ... y_n with y_j = y_{1j} y_{2j} ... y_{jj}; powers maps the
-    t-exponent s to its multiplicity r(s) (zero multiplicities omitted).
+    t-exponent s to its multiplicity r(s) (zero multiplicities omitted), as
+    a read-only view.
     """
 
     __slots__ = ("factors",)
@@ -276,7 +279,9 @@ class BasisWord(_Value):
         factors = tuple(
             (
                 (operator.index(i), operator.index(j)),
-                dict(sorted(tuple(map(operator.index, sr)) for sr in powers.items())),
+                MappingProxyType(
+                    dict(sorted(tuple(map(operator.index, p)) for p in powers.items()))
+                ),
             )
             for (i, j), powers in factors
         )
@@ -312,7 +317,7 @@ class BasisWord(_Value):
         return " ".join(pieces) if pieces else "1"
 
     def __repr__(self):
-        return "BasisWord(%r)" % (self.factors,)
+        return "BasisWord(%r)" % (tuple((root, dict(p)) for root, p in self.factors),)
 
     def to_json(self):
         return [

@@ -358,12 +358,14 @@ def one_minus_q(k):
     return QPoly({0: 1, k: -1})
 
 
-@functools.cache
+# typed, as is q_pochhammer's: a float equal to a cached int misses, and raises
+@functools.lru_cache(maxsize=None, typed=True)
 def q_binomial(n, r):
     """Gaussian binomial [n r]_q via the Pascal recursion.
 
     Zero unless n, r, n - r are all nonnegative.
     """
+    n, r = index(n), index(r)
     if r < 0 or n < 0 or n - r < 0:
         return QPoly.zero()
     if r == 0 or r == n:
@@ -371,9 +373,10 @@ def q_binomial(n, r):
     return q_binomial(n - 1, r - 1) + grade_shift(q_binomial(n - 1, r), r)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def q_pochhammer(m):
     """(q; q)_m = prod_{i=1}^m (1 - q^i)."""
+    m = index(m)
     if m < 0:
         raise ValueError("q-Pochhammer index must be nonnegative")
     if m == 0:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 
 from .charformulas import (
+    _M_MODULE_VARIANTS,
     TENSOR_VARIANTS,
     _homogeneous_sum,
     char_multiply,
@@ -79,32 +80,29 @@ def alternating_expansion(j):
     return out
 
 
-def _tensor_fundamental(max_mk):
+def _mk_grid(check, ranks, variants, max_mk):
+    """check(variant, m, k, rank) by rank, then variant, m and k up to max_mk."""
     return [
-        verify_tensor_fundamental(variant, m, k, rank)
-        for rank in (2, 3)
-        for variant in TENSOR_VARIANTS
+        check(variant, m, k, rank)
+        for rank in ranks
+        for variant in variants
         for m in range(max_mk + 1)
         for k in range(max_mk + 1)
     ]
+
+
+def _tensor_fundamental(max_mk):
+    return _mk_grid(verify_tensor_fundamental, (2, 3), TENSOR_VARIANTS, max_mk)
 
 
 def _truncated_product(max_mk):
-    return [
-        verify_truncated_product(m, k, 2)
-        for m in range(max_mk + 1)
-        for k in range(max_mk + 1)
-    ]
+    return _mk_grid(
+        lambda _, m, k, n: verify_truncated_product(m, k, n), (2,), (None,), max_mk
+    )
 
 
 def _m_module_product(max_mk):
-    return [
-        verify_m_module_product(variant, m, k, rank)
-        for rank in (2, 3)
-        for variant in ("first", "last")
-        for m in range(max_mk + 1)
-        for k in range(max_mk + 1)
-    ]
+    return _mk_grid(verify_m_module_product, (2, 3), _M_MODULE_VARIANTS, max_mk)
 
 
 def _truncated_dim():

@@ -193,7 +193,10 @@ class Partition(_Value):
 
     def padded(self, length):
         if length < len(self.parts):
-            raise ValueError("cannot pad below the partition length")
+            raise RankMismatchError(
+                "partition with %d rows does not fit in %d variables"
+                % (len(self.parts), length)
+            )
         return self.parts + (0,) * (length - len(self.parts))
 
     def conjugate(self):
@@ -236,13 +239,5 @@ def partition_to_weight(p, n):
     Any partition with at most n+1 rows is accepted; a nonzero (n+1)-st part
     corresponds to determinant columns, which do not change the sl-weight.
     """
-    if isinstance(p, Partition):
-        parts = p.parts
-    else:
-        parts = Partition(p).parts
-    if len(parts) > n + 1:
-        raise RankMismatchError(
-            "partition with %d rows does not fit in rank %d" % (len(parts), n)
-        )
-    padded = parts + (0,) * (n + 1 - len(parts))
+    padded = Partition(p).padded(n + 1)
     return Weight(n, tuple(padded[i] - padded[i + 1] for i in range(n)))

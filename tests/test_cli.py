@@ -507,6 +507,28 @@ def test_stdout_bytes_pinned(command, fmt):
     assert hashlib.sha256(out.stdout).hexdigest() == GOLDEN_SHA256[command, fmt]
 
 
+# sha256 of two larger JSON outputs: every suite's reports with their detail
+# (the term count of each two-factor check), and a rank-3 tensor product
+LARGE_JSON_SHA256 = {
+    ("verify", "--suite", "all"): (
+        "f71ef34300e35aa6fe1c45c137450acd89467c03ee9050efa446591cafd7c847"
+    ),
+    ("tensor", "--variant", "omega1_omegan", "--m", "3", "--k", "3", "--rank", "3"): (
+        "d1e4e6b9bc907090903a54e3e63049ca7978b71dcaeacd113414ad05500e10df"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", sorted(LARGE_JSON_SHA256), ids=lambda a: a[0])
+def test_large_json_bytes_pinned(args):
+    out = subprocess.run(
+        [sys.executable, "-m", "weylchar", *args, "--format", "json"],
+        capture_output=True,
+    )
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout).hexdigest() == LARGE_JSON_SHA256[args]
+
+
 # outputs larger than the golden ones above, one per JSON payload shape
 CANONICAL_ARGS = {
     "char": ("char", "--rank", "2", "--weight", "6,6"),

@@ -374,3 +374,21 @@ def test_immutable(obj, attr):
         setattr(obj, attr, None)
     with pytest.raises(AttributeError, match="%s is immutable" % type(obj).__name__):
         delattr(obj, attr)
+
+
+def test_overlays_and_powers_are_read_only():
+    # the hash of a POP or a word reads these maps, so a write would lose
+    # the value in every set or dict that holds it
+    pop = lowest_weight_pop(Weight(2, (1, 1)))
+    pops = {pop}
+    with pytest.raises(TypeError):
+        pop.overlays[(1, 1)] = (5,)
+    assert pop in pops
+    word = basis_word(POP(GTPattern(((2,), (5, 0))), {(1, 1): (2, 2, 0)}))
+    words = {word}
+    with pytest.raises(TypeError):
+        word.factors[0][1][0] = 7
+    assert word in words
+    # the reprs still show plain dicts, as the constructors take them
+    assert repr(word) == "BasisWord((((1, 1), {0: 1, 2: 2}),))"
+    assert repr(pop).endswith("{(1, 1): (0,), (2, 1): (0,), (2, 2): (0,)})")

@@ -357,6 +357,15 @@ class TestQBinomial:
         assert q_binomial(-1, 0) == QPoly.zero()
         assert q_binomial(3, -1) == QPoly.zero()
 
+    def test_non_integer_rejected(self):
+        # the cache is typed: a float equal to a cached int is a miss, so it
+        # raises too, and bench/worker.py still reads cache_info()
+        assert q_binomial(2, 1) == QPoly({0: 1, 1: 1})
+        for n, r in ((2.5, 1), (2, 1.0), (2.0, 1)):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                q_binomial(n, r)
+        assert q_binomial.cache_info().currsize > 0
+
     @given(st.integers(0, 20), st.integers(0, 20))
     def test_q1_is_binomial(self, n, r):
         assert q_binomial(n, r).at_one() == (math.comb(n, r) if r <= n else 0)
@@ -386,6 +395,12 @@ class TestQPochhammer:
         assert q_pochhammer(0) == QPoly.one()
         with pytest.raises(ValueError):
             q_pochhammer(-1)
+
+    def test_non_integer_rejected(self):
+        assert q_pochhammer(2) == QPoly({0: 1, 1: -1, 2: -1, 3: 1})
+        for m in (2.5, 2.0, -0.5):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                q_pochhammer(m)
 
     @given(st.integers(1, 15))
     def test_recurrence(self, m):

@@ -153,7 +153,7 @@ class TestPartition:
     def test_part_and_padding(self):
         p = Partition((3, 1))
         assert p.padded(4) == (3, 1, 0, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(RankMismatchError, match="2 rows does not fit in 1 variables"):
             p.padded(1)
 
 
@@ -168,8 +168,10 @@ class TestBounding:
             weight_to_bounding_partition(Weight(2, (1, -1)))
 
     def test_partition_too_long(self):
-        with pytest.raises(RankMismatchError):
+        with pytest.raises(RankMismatchError, match="3 rows does not fit in 2 variables"):
             partition_to_weight(Partition((1, 1, 1)), 1)
+        with pytest.raises(RankMismatchError):
+            partition_to_weight((1, 1, 1), 1)
 
     def test_det_column_drops_out(self):
         # a full column is a determinant twist, invisible to the sl-weight
