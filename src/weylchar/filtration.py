@@ -9,10 +9,10 @@ W(m omega_1) tensor W(k omega_n), M modules for the two squares), and the
 filtration checks sum exactly those published layers (layer character
 times multiplicity, det-twisted to the product's total degree). The
 fusion-side functions check the rank-2 dimension recurrences of the
-fusion modules M_j: each case generator states a recurrence's hypothesis
-once, beside the case, and yields a skip for it when the hypothesis fails,
-after the applicable cases of that grid point; one driver turns the cases
-of both grids into reports.
+fusion modules M_j: each of the four recurrences is written once, one
+generator yields the cases of both grids (a skip when a hypothesis fails,
+after the applicable cases of that grid point), and one comparison turns
+them into reports.
 """
 
 from __future__ import annotations
@@ -283,98 +283,88 @@ class XiTuple(_Value):
         )
 
 
-def _fusion_recurrence_cases(lam2, lam3, max_j):
-    """Yield (case, extra params, lhs_dim, rhs_dim, skip reason) per case.
+# Each recurrence returns the (j, lam1, lam2, lam3) of the layers of a short
+# exact sequence or two-step filtration of M_j(lam1, lam2, lam3); the j = 1
+# recurrences take the edge pair (e, f) = (omega_1, omega_2), or (omega_2,
+# omega_1) for the mirrors.
 
-    Each case states dim M_j(...) as a sum of layer dimensions of a short
-    exact sequence or two-step filtration, with skip reason None. A case
-    whose hypothesis fails yields its own skip (dimensions None, the
-    reason set) after every applicable case of this (lam2, lam3).
+
+def _j1_lam1_zero(e, f, lam2, lam3):
+    """(i) j = 1, lam1 = 0, lam2(h_e) >= 1: two layers."""
+    return (0, e, lam2 - e + f, lam3), (0, f, lam2 - e, lam3 + e)
+
+
+def _j1(e, f, lam1, lam2, lam3):
+    """(ii) j = 1, lam1(h_e) >= 1: two layers."""
+    return (0, lam1 - e, lam2 + f, lam3), (0, lam1 - e + f, lam2 + e, lam3)
+
+
+def _jgeq2_lam1_zero(j, lam2, lam3):
+    """(iii) j >= 2, lam1 = 0: three layers."""
+    return (
+        (j - 2, _ZERO, lam2 + _THETA, lam3),
+        (j - 2, _OM2, lam2 + _OM2, lam3),
+        (j - 2, _ZERO, lam2, lam3 + _OM1),
+    )
+
+
+def _jgeq2(j, lam1, lam2, lam3):
+    """(iv) j >= 2, lam1(h_1) >= 1: three layers."""
+    return (
+        (j - 2, lam1, lam2 + _THETA, lam3),
+        (j - 1, lam1 - _OM1, lam2 + _OM2, lam3),
+        (j - 2, lam1 - _OM1, lam2 + 2 * _OM1, lam3),
+    )
+
+
+def _fusion_cases(grid, max_j):
+    """Yield (params, module, layers, skip reason) for every case.
+
+    Family A sweeps lam2, lam3 at lam1 in {0, omega_1, omega_2}; family B
+    sweeps lam1, lam2 at lam3 = 0. module is the (j, lam1, lam2, lam3) of
+    M_j. A case whose hypothesis fails yields module and layers None and
+    its reason, after every applicable case of its grid point; family B
+    is one skip, case "lambda3_zero", when lam1(h_1) = 0.
     """
-    skips = []
-    # j = 1, lam1 = 0, lam2(h_1) >= 1: two layers
-    if _h(lam2, 1) >= 1:
-        lhs = fusion_dim(1, _ZERO, lam2, lam3)
-        rhs = fusion_dim(0, _OM1, lam2 - _OM1 + _OM2, lam3) + fusion_dim(
-            0, _OM2, lam2 - _OM1, lam3 + _OM1
-        )
-        yield "j1_lambda1_zero", {}, lhs, rhs, None
-    else:
-        skips.append(("j1_lambda1_zero", {}, None, None, "needs lam2(h_1) >= 1"))
-    # j = 1, lam1 = omega_1: two layers
-    lhs = fusion_dim(1, _OM1, lam2, lam3)
-    rhs = fusion_dim(0, _ZERO, lam2 + _OM2, lam3) + fusion_dim(
-        0, _OM2, lam2 + _OM1, lam3
-    )
-    yield "j1_lambda1_omega1", {}, lhs, rhs, None
-    # mirrors of the two j = 1 cases (second fundamental direction)
-    if _h(lam2, 2) >= 1:
-        lhs = fusion_dim(1, _ZERO, lam2, lam3)
-        rhs = fusion_dim(0, _OM2, lam2 - _OM2 + _OM1, lam3) + fusion_dim(
-            0, _OM1, lam2 - _OM2, lam3 + _OM2
-        )
-        yield "j1_lambda1_zero_mirror", {}, lhs, rhs, None
-    else:
-        skips.append(
-            ("j1_lambda1_zero_mirror", {}, None, None, "needs lam2(h_2) >= 1")
-        )
-    lhs = fusion_dim(1, _OM2, lam2, lam3)
-    rhs = fusion_dim(0, _ZERO, lam2 + _OM1, lam3) + fusion_dim(
-        0, _OM1, lam2 + _OM2, lam3
-    )
-    yield "j1_lambda1_omega2_mirror", {}, lhs, rhs, None
-
-    for j in range(2, max_j + 1):
-        # j >= 2, lam1 = 0: three layers
-        lhs = fusion_dim(j, _ZERO, lam2, lam3)
-        rhs = (
-            fusion_dim(j - 2, _ZERO, lam2 + _THETA, lam3)
-            + fusion_dim(j - 2, _OM2, lam2 + _OM2, lam3)
-            + fusion_dim(j - 2, _ZERO, lam2, lam3 + _OM1)
-        )
-        yield "jgeq2_lambda1_zero", {"j": j}, lhs, rhs, None
-        # j >= 2, lam1 = omega_1: three layers
-        lhs = fusion_dim(j, _OM1, lam2, lam3)
-        rhs = (
-            fusion_dim(j - 2, _OM1, lam2 + _THETA, lam3)
-            + fusion_dim(j - 1, _ZERO, lam2 + _OM2, lam3)
-            + fusion_dim(j - 2, _ZERO, lam2 + 2 * _OM1, lam3)
-        )
-        yield "jgeq2_lambda1_omega1", {"j": j}, lhs, rhs, None
-    yield from skips
-
-
-def _fusion_lam3_zero_cases(lam1, lam2, max_j):
-    """Recurrences for lam3 = 0 and lam1(h_1) >= 1 (arbitrary dominant lam1).
-
-    Yields the same tuples as _fusion_recurrence_cases; when lam1(h_1) = 0
-    the whole family is one skip, case "lambda3_zero".
-    """
-    if _h(lam1, 1) < 1:
-        yield "lambda3_zero", {}, None, None, "needs lam1(h_1) >= 1"
-        return
-    lhs = fusion_dim(1, lam1, lam2, _ZERO)
-    rhs = fusion_dim(0, lam1 - _OM1, lam2 + _OM2, _ZERO) + fusion_dim(
-        0, lam1 - _OM1 + _OM2, lam2 + _OM1, _ZERO
-    )
-    yield "lambda3_zero_j1", {}, lhs, rhs, None
-    for j in range(2, max_j + 1):
-        lhs = fusion_dim(j, lam1, lam2, _ZERO)
-        rhs = (
-            fusion_dim(j - 2, lam1, lam2 + _THETA, _ZERO)
-            + fusion_dim(j - 1, lam1 - _OM1, lam2 + _OM2, _ZERO)
-            + fusion_dim(j - 2, lam1 - _OM1, lam2 + 2 * _OM1, _ZERO)
-        )
-        yield "lambda3_zero_jgeq2", {"j": j}, lhs, rhs, None
+    js = range(2, max_j + 1)
+    for lam2, lam3 in itertools.product(grid, grid):
+        point = {"lam2": list(lam2.coeffs), "lam3": list(lam3.coeffs)}
+        skips = []
+        for i, e, f, mirror in ((1, _OM1, _OM2, ""), (2, _OM2, _OM1, "_mirror")):
+            params = {**point, "case": "j1_lambda1_zero" + mirror}
+            if _h(lam2, i) >= 1:
+                layers = _j1_lam1_zero(e, f, lam2, lam3)
+                yield params, (1, _ZERO, lam2, lam3), layers, None
+            else:
+                skips.append((params, None, None, "needs lam2(h_%d) >= 1" % i))
+            params = {**point, "case": "j1_lambda1_omega%d%s" % (i, mirror)}
+            yield params, (1, e, lam2, lam3), _j1(e, f, e, lam2, lam3), None
+        for j in js:
+            params = {**point, "j": j, "case": "jgeq2_lambda1_zero"}
+            yield params, (j, _ZERO, lam2, lam3), _jgeq2_lam1_zero(j, lam2, lam3), None
+            params = {**point, "j": j, "case": "jgeq2_lambda1_omega1"}
+            yield params, (j, _OM1, lam2, lam3), _jgeq2(j, _OM1, lam2, lam3), None
+        yield from skips
+    for lam1, lam2 in itertools.product(grid, grid):
+        point = {"lam1": list(lam1.coeffs), "lam2": list(lam2.coeffs)}
+        if _h(lam1, 1) < 1:
+            yield {**point, "case": "lambda3_zero"}, None, None, "needs lam1(h_1) >= 1"
+            continue
+        layers = _j1(_OM1, _OM2, lam1, lam2, _ZERO)
+        yield {**point, "case": "lambda3_zero_j1"}, (1, lam1, lam2, _ZERO), layers, None
+        for j in js:
+            params = {**point, "j": j, "case": "lambda3_zero_jgeq2"}
+            yield params, (j, lam1, lam2, _ZERO), _jgeq2(j, lam1, lam2, _ZERO), None
 
 
 def verify_fusion_recurrences(max_pairing=3, max_j=4):
     """Check every fusion dimension recurrence over a grid of weights.
 
-    Sweeps rank-2 dominant lam2, lam3 (then lam1, lam2 for the lam3 = 0
-    family) with pairings with theta <= max_pairing and j <= max_j. Each
-    case reports its own inapplicable hypothesis as a skip, after the
-    applicable cases of its grid point, so the grid is visibly covered.
+    Sweeps rank-2 dominant weights with pairings with theta <= max_pairing
+    and j <= max_j. Each case passes when dim M_j equals the sum of its
+    layers' dimensions; an inapplicable hypothesis is reported as a skip,
+    after the applicable cases of its grid point, so the grid is visibly
+    covered.
     """
     grid = [
         _w(a, b)
@@ -382,18 +372,13 @@ def verify_fusion_recurrences(max_pairing=3, max_j=4):
         for b in range(max_pairing + 1)
         if a + b <= max_pairing
     ]
-    reports = []
-    for cases, names in (
-        (_fusion_recurrence_cases, ("lam2", "lam3")),
-        (_fusion_lam3_zero_cases, ("lam1", "lam2")),
-    ):
-        for first, second in itertools.product(grid, grid):
-            base = {names[0]: list(first.coeffs), names[1]: list(second.coeffs)}
-            for case, extra, lhs, rhs, reason in cases(first, second, max_j):
-                params = {**base, **extra, "case": case}
-                reports.append(
-                    _report("fusion-recurrences", params, lhs == rhs)
-                    if reason is None
-                    else _skip("fusion-recurrences", params, reason)
-                )
-    return reports
+    return [
+        _skip("fusion-recurrences", params, reason)
+        if reason is not None
+        else _report(
+            "fusion-recurrences",
+            params,
+            fusion_dim(*module) == sum(fusion_dim(*layer) for layer in layers),
+        )
+        for params, module, layers, reason in _fusion_cases(grid, max_j)
+    ]

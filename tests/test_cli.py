@@ -519,6 +519,11 @@ LARGE_JSON_SHA256 = {
 }
 
 
+# sha256 of every suite's reports as CSV: one row per report with its detail,
+# every skip reason included
+ALL_CSV_SHA256 = "a0dde44efb5b8b761c710d50ab9c12dcc8ec294b4f3f4cad0b941cc6fb035d9f"
+
+
 @pytest.mark.parametrize("args", sorted(LARGE_JSON_SHA256), ids=lambda a: a[0])
 def test_large_json_bytes_pinned(args):
     out = subprocess.run(
@@ -527,6 +532,15 @@ def test_large_json_bytes_pinned(args):
     )
     assert out.returncode == 0
     assert hashlib.sha256(out.stdout).hexdigest() == LARGE_JSON_SHA256[args]
+
+
+def test_all_csv_bytes_pinned():
+    out = subprocess.run(
+        [sys.executable, "-m", "weylchar", "verify", "--suite", "all", "--format", "csv"],
+        capture_output=True,
+    )
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout).hexdigest() == ALL_CSV_SHA256
 
 
 # outputs larger than the golden ones above, one per JSON payload shape

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -381,6 +383,28 @@ class TestFusion:
         assert ("j1_lambda1_zero", "skip") in cases
         assert ("j1_lambda1_zero_mirror", "skip") in cases
         assert ("j1_lambda1_zero", "pass") in cases
+
+    # sha256 of json.dumps([r.to_json() for r in reports], sort_keys=True) for
+    # verify_fusion_recurrences(max_pairing, max_j): every case name, params
+    # dict, status and skip reason, in report order
+    GRID_SHA256 = {
+        (1, 1): "b2e80a5976cb057f92d446bff46958eb4654c8323760a225ffbfe0c271211f6e",
+        (2, 3): "9c90e567bfb3e8f485e70a8150e4211a1269e1009daf667267f65087feb7f11f",
+        (4, 5): "eb5904623890192cfc6927343695ab0b143a01fa34f6e2f05b3fa45cb87f9fa9",
+    }
+
+    @pytest.mark.parametrize("grid", sorted(GRID_SHA256), ids=str)
+    def test_recurrence_reports_pinned(self, grid):
+        reports = verify_fusion_recurrences(*grid)
+        text = json.dumps([r.to_json() for r in reports], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GRID_SHA256[grid]
+
+    def test_recurrence_sweep_beyond_default(self):
+        # pairing 5 and j = 6 reach weights and j no other test reaches
+        reports = verify_fusion_recurrences(max_pairing=5, max_j=6)
+        statuses = [r.status for r in reports]
+        assert (statuses.count("pass"), statuses.count("skip")) == (7812, 378)
+        assert len(statuses) == 7812 + 378
 
 
 class TestXiTuple:
