@@ -27,18 +27,15 @@ _unsigned_value packs the q-binomial weights, and _unsigned_coeffs unpacks
 values to QPoly at the orbit fill of a character and at each step of the
 peel; every API, result and character cache holds QPoly.
 
-Every character the paper handles is symmetric, so its dominant terms
-determine it. _dominant_terms is the one symmetry test and split, and
-_orbit_fill the one way back. Full characters, products, the closed-form
-sums and the peel all cross this boundary; only a product with a
-nonsymmetric operand is multiplied pair by pair. An orbit fill carries the
-dominant terms it was filled from, so products, symmetry tests, sums and
-the peel read them instead of scanning again, and two orbit fills are
-equal exactly when their dominant terms are. The scan still runs on
-constructor input, on results of pairwise arithmetic (+, -, scalar *) and
-on a nonsymmetric operand.
+Every character the paper handles is symmetric, and so is every
+GradedCharacter: its dominant terms determine it. The constructor runs
+_dominant_terms, the one symmetry test and split, and refuses anything
+else; _orbit_fill is the one way back. Every operation, from + and
+det_twist to products, the closed-form sums and the peel, maps dominant
+terms and fills the orbits once, and two characters are equal exactly when
+their dominant terms are.
 
-A product of two symmetric characters is a sum of products m_d * m_e of
+A product of two characters is a sum of products m_d * m_e of
 monomial symmetric functions, m_d the orbit sum of a dominant key d, whose
 structure constants come from one walk of the smaller orbit per pair of
 dominant keys. The coefficients are packed like the row memo's, but signed,
@@ -97,16 +94,13 @@ class DecompositionError(RuntimeError):
 
 
 class GradedCharacter(_Value):
-    """Z[q]-combination of monomials x^e, e an (n+1)-tuple of exponents.
+    """Symmetric Z[q]-combination of monomials x^e, e an (n+1)-tuple of exponents.
 
-    `terms` maps each exponent tuple to a nonzero QPoly. Treat it as
-    read-only: a character filled in from its dominant terms holds a
-    read-only view, and one built by the branching rule is cached.
-
-    Only such an orbit fill also carries its dominant terms, read-only, in
-    `_dominant`; every other character carries None and is scanned when its
-    dominant terms are needed. Equality compares the dominant terms when
-    both sides carry them, and every term otherwise.
+    Every character is symmetric in x_1, ..., x_{n+1}: the constructor
+    refuses any other input with ValueError. `terms` maps each exponent
+    tuple to a nonzero QPoly, and `_dominant` each weakly decreasing one;
+    both are read-only. Every operation maps the dominant terms and fills
+    the orbits once (_orbit_fill), and equality compares dominant terms.
     """
 
     __slots__ = ("n", "terms", "_dominant")
@@ -117,9 +111,12 @@ class GradedCharacter(_Value):
             raise ValueError("rank must be a positive integer")
         items = terms.items() if isinstance(terms, Mapping) else terms or ()
         data = _accumulate({}, _checked_terms(n, items))
+        dominant = _dominant_terms(data)
+        if dominant is None:
+            raise ValueError("input is not a symmetric function")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", data)
-        object.__setattr__(self, "_dominant", None)
+        object.__setattr__(self, "terms", MappingProxyType(data))
+        object.__setattr__(self, "_dominant", MappingProxyType(dominant))
 
     @classmethod
     def zero(cls, n):
@@ -140,50 +137,40 @@ class GradedCharacter(_Value):
         if not isinstance(other, GradedCharacter):
             return NotImplemented
         self._check_rank(other)
-        return _wrap_char(self.n, _accumulate(dict(self.terms), other.terms.items()))
+        return _orbit_fill(
+            self.n, _accumulate(dict(self._dominant), other._dominant.items())
+        )
 
     def __sub__(self, other):
         if not isinstance(other, GradedCharacter):
             return NotImplemented
         self._check_rank(other)
-        return _wrap_char(
-            self.n,
-            _accumulate(dict(self.terms), ((k, -p) for k, p in other.terms.items())),
-        )
+        negated = ((k, -p) for k, p in other._dominant.items())
+        return _orbit_fill(self.n, _accumulate(dict(self._dominant), negated))
 
     def __neg__(self):
-        return _wrap_char(self.n, {k: -p for k, p in self.terms.items()})
+        return _orbit_fill(self.n, {k: -p for k, p in self._dominant.items()})
 
     def __mul__(self, other):
-        """Product with a character (monomial convolution), int or QPoly.
+        """Product with a character, an int or a QPoly.
 
-        When both characters are symmetric, so is the product, and it is
-        built on the dominant cone: one walk of the smaller orbit per pair
-        of dominant keys, on coefficients packed as integers (see
-        _symmetric_product). Otherwise every pair of terms is multiplied.
+        A product of characters is built on the dominant cone: one walk of
+        the smaller orbit per pair of dominant keys, on coefficients packed
+        as integers (see _symmetric_product).
         """
         if isinstance(other, (int, QPoly)):
             if isinstance(other, int):
                 other = QPoly.const(other)
             if other.is_zero():
-                return _wrap_char(self.n, {})
+                return _orbit_fill(self.n, {})
             # Z[q] has no zero divisors, so no product coefficient vanishes
-            return _wrap_char(self.n, {k: p * other for k, p in self.terms.items()})
+            return _orbit_fill(
+                self.n, {k: p * other for k, p in self._dominant.items()}
+            )
         if not isinstance(other, GradedCharacter):
             return NotImplemented
         self._check_rank(other)
-        dominant = _dominant_of(self)
-        if dominant is not None:
-            other_dominant = _dominant_of(other)
-            if other_dominant is not None:
-                return _orbit_fill(
-                    self.n, _symmetric_product(dominant, other_dominant)
-                )
-        pairs = itertools.product(self.terms.items(), other.terms.items())
-        products = (
-            (tuple(map(operator.add, k1, k2)), p1 * p2) for (k1, p1), (k2, p2) in pairs
-        )
-        return _wrap_char(self.n, _accumulate({}, products))
+        return _orbit_fill(self.n, _symmetric_product(self._dominant, other._dominant))
 
     __rmul__ = __mul__
 
@@ -194,44 +181,30 @@ class GradedCharacter(_Value):
             raise ValueError("determinant twist must be nonnegative")
         if c == 0:
             return self
-        return _wrap_char(
-            self.n, {tuple(e + c for e in k): p for k, p in self.terms.items()}
+        return _orbit_fill(
+            self.n, {tuple(e + c for e in k): p for k, p in self._dominant.items()}
         )
 
     def q1_dimension(self):
-        """Total dimension: sum of all coefficients at q = 1.
-
-        A character that carries its dominant terms sums one coefficient per
-        orbit, times the size of the orbit.
-        """
-        dominant = self._dominant
-        if dominant is None:
-            return sum(p.at_one() for p in self.terms.values())
-        return sum(len(_orbit(d)) * p.at_one() for d, p in dominant.items())
+        """Total dimension: one coefficient per orbit at q = 1, times its size."""
+        return sum(len(_orbit(d)) * p.at_one() for d, p in self._dominant.items())
 
     def specialize_q0(self):
         """Set q = 0, keeping only constant terms."""
-        return GradedCharacter(
-            self.n, {k: p.constant_term() for k, p in self.terms.items()}
-        )
+        constants = ((k, p.constant_term()) for k, p in self._dominant.items())
+        return _orbit_fill(self.n, {k: QPoly.const(c) for k, c in constants if c})
 
     def total_degree(self):
         """Common exponent-sum of all monomials, or None if mixed/empty."""
-        degrees = {sum(k) for k in self.terms}
+        degrees = {sum(k) for k in self._dominant}
         return degrees.pop() if len(degrees) == 1 else None
-
-    def is_symmetric(self):
-        """True when invariant under all permutations of the variables."""
-        return _dominant_of(self) is not None
 
     def __eq__(self, other):
         if not isinstance(other, GradedCharacter) or self.n != other.n:
             return False
-        if self._dominant is not None and other._dominant is not None:
-            return self._dominant == other._dominant
-        return self.terms == other.terms
+        return self._dominant == other._dominant
 
-    __hash__ = None  # equality reads the terms dict
+    __hash__ = None  # equality reads the dominant terms dict
 
     def __repr__(self):
         return "GradedCharacter(%d, %d terms)" % (self.n, len(self.terms))
@@ -250,21 +223,6 @@ _new_object = object.__new__
 _set_n = GradedCharacter.n.__set__
 _set_terms = GradedCharacter.terms.__set__
 _set_dominant = GradedCharacter._dominant.__set__
-
-
-def _wrap_char(n, terms):
-    """GradedCharacter adopting a checked {key: nonzero QPoly} dict as is.
-
-    Results of internal arithmetic come through here; only the public
-    constructor validates keys and merges repeated ones. The dict is not
-    copied, so it must not be written to afterwards. The character carries
-    no dominant terms; only _orbit_fill attaches them.
-    """
-    ch = _new_object(GradedCharacter)
-    _set_n(ch, n)
-    _set_terms(ch, terms)
-    _set_dominant(ch, None)
-    return ch
 
 
 def _accumulate(data, items):
@@ -323,22 +281,17 @@ def _dominant_terms(terms):
     return dominant if size == len(terms) else None
 
 
-def _dominant_of(ch):
-    """Dominant terms of ch: those an orbit fill carries, else a scan."""
-    dominant = ch._dominant
-    return _dominant_terms(ch.terms) if dominant is None else dominant
-
-
 def _orbit_fill(n, dominant):
-    """The read-only symmetric character with these dominant terms.
+    """The character with these dominant terms: every operation's result.
 
-    The one orbit fill: each coefficient is shared by every key of its orbit.
-    The character carries a read-only view of `dominant`, which must hold
-    dominant keys and nonzero coefficients only and not be written to
-    afterwards.
+    Each coefficient is shared by every key of its orbit. The character
+    carries a read-only view of `dominant`, which must hold dominant keys
+    and nonzero coefficients only and not be written to afterwards.
     """
     data = {perm: coeff for key, coeff in dominant.items() for perm in _orbit(key)}
-    ch = _wrap_char(n, MappingProxyType(data))
+    ch = _new_object(GradedCharacter)
+    _set_n(ch, n)
+    _set_terms(ch, MappingProxyType(data))
     _set_dominant(ch, MappingProxyType(dominant))
     return ch
 
@@ -407,8 +360,7 @@ def _homogeneous_sum(n, terms):
     Each term's dominant terms are det-twisted up to the total degree of
     the first nonzero term and scaled, and the orbits are filled once.
     ArithmeticError when a gap is not a nonnegative multiple of n+1,
-    ValueError for a nonsymmetric term, TypeError for a coefficient that
-    is neither int nor QPoly.
+    TypeError for a coefficient that is neither int nor QPoly.
 
     Coefficients are packed as in _symmetric_product: each coeff and each
     dominant coefficient of each term once, at q = 2^(8w), so the sum is
@@ -423,11 +375,9 @@ def _homogeneous_sum(n, terms):
     bound = 0
     degree = None
     for ch, coeff in terms:
-        if not coeff or not ch.terms:
+        dominant = ch._dominant
+        if not coeff or not dominant:
             continue
-        dominant = _dominant_of(ch)
-        if dominant is None:
-            raise ValueError("a term of the sum is not a symmetric character")
         own = sum(next(iter(dominant)))
         if degree is None:
             degree = own
@@ -470,9 +420,8 @@ def _homogeneous_sum(n, terms):
 def char_multiply(a, b):
     """Product of graded characters (monomial convolution).
 
-    Two symmetric operands, such as Weyl characters, are multiplied on the
-    dominant cone and the product filled in by orbits; see
-    GradedCharacter.__mul__.
+    The operands are multiplied on the dominant cone and the product filled
+    in by orbits; see GradedCharacter.__mul__.
     """
     if not isinstance(a, GradedCharacter) or not isinstance(b, GradedCharacter):
         raise TypeError("char_multiply expects two GradedCharacter operands")
@@ -848,15 +797,14 @@ def decompose_weyl_basis(f):
     Greedy peel: repeatedly take the lexicographically greatest exponent key
     with weakly decreasing entries (the dominant leader), emit its sl-weight
     and coefficient, and subtract that multiple of the corresponding
-    character. Leaders strictly decrease, so the peel terminates; a
-    nonsymmetric input is rejected up front.
+    character. Leaders strictly decrease, so the peel terminates.
 
     The remainder is kept on dominant keys only: the remainder of a
     symmetric input stays symmetric, so its dominant coefficients determine
     it. Each step unpacks the leader's dominant terms straight from the
     row memo, so no leader's full character is built or cached. The
-    remainder starts as a copy: the dominant terms an orbit fill carries
-    may be a cached character's own.
+    remainder starts as a copy: the dominant terms a character carries may
+    be a cached character's own.
 
     Every leader is unpacked at one slot width, so the leaders share the
     memo: the first leader's, widened when a later leader needs more. A
@@ -866,10 +814,7 @@ def decompose_weyl_basis(f):
     """
     if not isinstance(f, GradedCharacter):
         raise TypeError("decompose_weyl_basis expects a GradedCharacter")
-    dominant = _dominant_of(f)
-    if dominant is None:
-        raise DecompositionError("input is not a symmetric function")
-    remainder = dict(dominant)
+    remainder = dict(f._dominant)
     n = f.n
     out = []
     seen = set()

@@ -7,12 +7,12 @@ import operator
 import random
 import time
 from collections import Counter
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylchar import (
-    DecompositionError,
     GradedCharacter,
     Partition,
     QPoly,
@@ -81,11 +81,9 @@ def reference_homogeneous_sum(n, terms):
     data = {}
     degree = None
     for ch, coeff in terms:
-        if not coeff or not ch.terms:
+        dominant = {k: p for k, p in ch.terms.items() if is_dominant(k)}
+        if not coeff or not dominant:
             continue
-        dominant = charformulas._dominant_of(ch)
-        if dominant is None:
-            raise ValueError("a term of the sum is not a symmetric character")
         own = sum(next(iter(dominant)))
         if degree is None:
             degree = own
@@ -147,8 +145,8 @@ class TestGradedCharacter:
             GradedCharacter(1, {(1, 0): coeff})
 
     def test_zero_terms_dropped(self):
-        ch = GradedCharacter(1, {(1, 0): QPoly.zero(), (0, 1): 2})
-        assert set(ch.terms) == {(0, 1)}
+        ch = GradedCharacter(1, {(1, 0): QPoly.zero(), (0, 1): 0, (1, 1): 2})
+        assert set(ch.terms) == {(1, 1)}
 
     def test_product(self):
         a = GradedCharacter(1, {(1, 0): 1, (0, 1): 1})
@@ -160,8 +158,8 @@ class TestGradedCharacter:
         }
 
     def test_det_twist(self):
-        a = GradedCharacter(1, {(1, 0): 1})
-        assert a.det_twist(2).terms == {(3, 2): QPoly.one()}
+        a = orbit_sum(1, (1, 0))
+        assert a.det_twist(2).terms == {(3, 2): QPoly.one(), (2, 3): QPoly.one()}
         with pytest.raises(ValueError):
             a.det_twist(-1)
 
@@ -170,30 +168,34 @@ class TestGradedCharacter:
             qwhittaker_char(Weight(2, (1, 1))).det_twist(1.5)
 
     def test_symmetry(self):
+        # the constructor accepts a symmetric input and refuses any other
         sym = GradedCharacter(1, {(1, 0): QPoly.q(), (0, 1): QPoly.q()})
-        asym = GradedCharacter(1, {(1, 0): QPoly.q(), (0, 1): QPoly.one()})
-        missing = GradedCharacter(1, {(1, 0): 1})
-        assert sym.is_symmetric()
-        assert not asym.is_symmetric()
-        assert not missing.is_symmetric()
+        assert sym._dominant == {(1, 0): QPoly.q()}
         # every key carries its sorted key's coefficient, but (0, 1, 2) is absent
-        keys = set(itertools.permutations((2, 1, 0))) - {(0, 1, 2)}
-        gap = GradedCharacter(2, dict.fromkeys(keys, QPoly.q()))
-        assert not gap.is_symmetric()
-        # orbits are counted, not listed: listing this one would take hours
-        start = time.perf_counter()
-        assert not GradedCharacter(11, {RANK11_KEY: 1}).is_symmetric()
-        assert time.perf_counter() - start < 1.0
+        gap = set(itertools.permutations((2, 1, 0))) - {(0, 1, 2)}
+        refused = [
+            (1, {(1, 0): QPoly.q(), (0, 1): QPoly.one()}),
+            (1, {(1, 0): 1}),
+            (2, dict.fromkeys(gap, QPoly.q())),
+            # orbits are counted, not listed: listing this one would take hours
+            (11, {RANK11_KEY: 1}),
+        ]
+        for n, terms in refused:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="^input is not a symmetric function$"):
+                GradedCharacter(n, terms)
+            assert time.perf_counter() - start < 1.0
 
     def test_cancelled_coefficients_leave_no_key(self):
-        a = GradedCharacter(1, {(1, 0): 1, (0, 1): 1})
-        b = GradedCharacter(1, {(1, 0): 1, (0, 1): -1})
-        # (x1 + x2)(x1 - x2) = x1^2 - x2^2: the x1 x2 coefficients cancel
-        assert (a * b).terms == {(2, 0): QPoly.one(), (0, 2): QPoly.const(-1)}
+        a = orbit_sum(1, (1, 0))
+        b = orbit_sum(1, (2, 0)) - orbit_sum(1, (1, 1))
+        # (x1 + x2)(x1^2 - x1 x2 + x2^2) = x1^3 + x2^3: the x1^2 x2 terms cancel
+        assert (a * b).terms == {(3, 0): QPoly.one(), (0, 3): QPoly.one()}
         assert (a - a).terms == {}
         assert (a + -a).terms == {}
         assert (a * 0).terms == {}
-        assert (a + b).terms == {(1, 0): QPoly.const(2)}
+        squares = {(2, 0): QPoly.one(), (0, 2): QPoly.one()}
+        assert (b + orbit_sum(1, (1, 1))).terms == squares
 
     @pytest.mark.parametrize(
         "a,b",
@@ -219,10 +221,6 @@ class TestGradedCharacter:
             (GradedCharacter.zero(2), qwhittaker_char(Weight(2, (1, 1)))),
             (GradedCharacter.one(2), qwhittaker_char(Weight(2, (2, 1)))),
             (GradedCharacter.one(3), GradedCharacter.zero(3)),
-            (
-                GradedCharacter(2, {(1, 0, 0): 1, (0, 2, 1): QPoly.q()}),
-                qwhittaker_char(Weight(2, (1, 1))),
-            ),
         ],
         ids=[
             "rank1",
@@ -236,7 +234,6 @@ class TestGradedCharacter:
             "zero",
             "one",
             "one-zero",
-            "nonsymmetric",
         ],
     )
     def test_symmetric_product_matches_all_pairs(self, a, b):
@@ -263,10 +260,119 @@ class TestGradedCharacter:
         assert a * b == all_pairs_product(a, b)
 
     def test_specializations(self):
-        ch = GradedCharacter(1, {(1, 1): QPoly({0: 1, 1: 1}), (2, 0): QPoly({1: 3})})
-        assert ch.q1_dimension() == 5
+        ch = orbit_sum(1, (1, 1), QPoly({0: 1, 1: 1}))
+        ch = ch + orbit_sum(1, (2, 0), QPoly({1: 3}))
+        assert ch.q1_dimension() == 8
         assert ch.specialize_q0().terms == {(1, 1): QPoly.one()}
         assert ch.total_degree() == 2
+
+
+# Plain-dict references for the character operations: a character is
+# {key: {power: nonzero int}}, and no QPoly or GradedCharacter arithmetic runs.
+
+
+def plain(ch):
+    """The terms of ch as plain dicts."""
+    return {k: {i: c for i, c in enumerate(p.coeffs) if c} for k, p in ch.terms.items()}
+
+
+def plain_poly_mul(p, r):
+    out = {}
+    for i, c in p.items():
+        for j, d in r.items():
+            out[i + j] = out.get(i + j, 0) + c * d
+    return {i: c for i, c in out.items() if c}
+
+
+def plain_sum(pairs):
+    """{key: poly} of the (key, poly) pairs added up, cancelled entries dropped."""
+    out = {}
+    for key, poly in pairs:
+        acc = out.setdefault(key, {})
+        for i, c in poly.items():
+            acc[i] = acc.get(i, 0) + c
+    out = {k: {i: c for i, c in p.items() if c} for k, p in out.items()}
+    return {k: p for k, p in out.items() if p}
+
+
+def plain_scale(a, poly):
+    return plain_sum((k, plain_poly_mul(p, poly)) for k, p in a.items())
+
+
+def plain_product(a, b):
+    return plain_sum(
+        (tuple(map(operator.add, k1, k2)), plain_poly_mul(p1, p2))
+        for k1, p1 in a.items()
+        for k2, p2 in b.items()
+    )
+
+
+class TestOperationsOnDominantTerms:
+    """Every operation maps dominant terms; the references map every term."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_operations_match_plain_references(self, data):
+        n = data.draw(st.integers(1, 3))
+        keys = st.lists(st.integers(0, 2), min_size=n + 1, max_size=n + 1).map(
+            lambda parts: tuple(sorted(parts, reverse=True))
+        )
+        polys = st.dictionaries(st.integers(0, 2), st.integers(-3, 3), max_size=3)
+
+        def draw_plain():
+            # orbit sums of a few dominant keys, possibly none
+            dominant = data.draw(st.dictionaries(keys, polys, max_size=3))
+            return plain_sum(
+                (perm, poly)
+                for key, poly in dominant.items()
+                for perm in set(itertools.permutations(key))
+            )
+
+        def build(terms):
+            ch = GradedCharacter(n, {k: QPoly(p) for k, p in terms.items()})
+            # an orbit fill half the time: the same character, as a result
+            return ch + GradedCharacter.zero(n) if data.draw(st.booleans()) else ch
+
+        a = draw_plain()
+        how = data.draw(st.sampled_from(("drawn", "negated", "same", "zero")))
+        if how == "drawn":
+            b = draw_plain()
+        elif how == "negated":
+            # a + b cancels to zero
+            b = plain_scale(a, {0: -1})
+        else:
+            b = dict(a) if how == "same" else {}
+        scalar = data.draw(st.one_of(st.integers(-3, 3), polys.map(QPoly)))
+        if isinstance(scalar, int):
+            plain_scalar = {0: scalar}
+        else:
+            plain_scalar = {i: c for i, c in enumerate(scalar.coeffs) if c}
+        twist = data.draw(st.integers(0, 2))
+        ca, cb = build(a), build(b)
+
+        results = [
+            (ca + cb, plain_sum([*a.items(), *b.items()])),
+            (ca - cb, plain_sum([*a.items(), *plain_scale(b, {0: -1}).items()])),
+            (-ca, plain_scale(a, {0: -1})),
+            (ca * scalar, plain_scale(a, plain_scalar)),
+            (scalar * ca, plain_scale(a, plain_scalar)),
+            (ca * cb, plain_product(a, b)),
+            (
+                ca.det_twist(twist),
+                {tuple(e + twist for e in k): p for k, p in a.items()},
+            ),
+            (ca.specialize_q0(), {k: {0: p[0]} for k, p in a.items() if p.get(0)}),
+        ]
+        for result, expected in results:
+            assert plain(result) == expected
+            assert result._dominant == charformulas._dominant_terms(result.terms)
+            assert isinstance(result.terms, MappingProxyType)
+        degrees = {sum(k) for k in a}
+        assert ca.total_degree() == (degrees.pop() if len(degrees) == 1 else None)
+        assert ca.q1_dimension() == sum(sum(p.values()) for p in a.values())
+        assert (ca == cb) is (a == b)
+        assert (cb == ca) is (a == b)
+        assert ca._dominant == charformulas._dominant_terms(ca.terms)
 
 
 def dominant_keys(n, top):
@@ -330,7 +436,7 @@ class TestSymmetricProduct:
         zero = w - w
         for product in (zero * w, w * zero):
             assert product.terms == {}
-            assert product.is_symmetric()
+            assert product == GradedCharacter.zero(2)
         # (x1 + x2)(x1^4 - x1^3 x2 + x1^2 x2^2 - x1 x2^3 + x2^4) = x1^5 + x2^5,
         # scaled by (1 - q) * 2^70: the values at (4, 1) and (3, 2) sum to 0
         scale = QPoly({0: 2**70, 1: -(2**70)})
@@ -344,7 +450,7 @@ class ScanCalled(Exception):
 
 
 class TestCarriedDominantTerms:
-    """Orbit fills carry their dominant terms; nothing else does."""
+    """Every character carries its dominant terms."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -382,10 +488,11 @@ class TestCarriedDominantTerms:
                 key = data.draw(st.sampled_from(dominant))
                 terms = [(ch, QPoly.one()), (orbit_sum(n, key), bump)]
                 return _homogeneous_sum(n, terms)
-            # one coefficient shifted by +-q^k, possibly off the dominant cone
+            # the orbit of any key shifted by +-q^k, through the constructor
             key = data.draw(st.sampled_from(sorted(ch.terms)))
             terms = dict(ch.terms)
-            terms[key] = terms[key] + bump
+            for perm in set(itertools.permutations(key)):
+                terms[perm] = terms[perm] + bump
             return GradedCharacter(n, terms)
 
         base = draw_fill()
@@ -453,12 +560,17 @@ class TestCarriedDominantTerms:
         assert product == expected
         assert a == qwhittaker_char(Weight(2, (2, 1)))
         assert not a == b
-        assert product.is_symmetric()
         total = _homogeneous_sum(2, [(product, QPoly.one()), (theta * a, QPoly.q())])
         assert total == expected_sum
-        # constructor input carries nothing and is still scanned
+        # so do sums, differences, negation, scaling, twists and q = 0
+        assert total - product == theta * a * QPoly.q()
+        assert -(total + product) == (total + product) * -1
+        assert total.det_twist(1).specialize_q0() == (
+            a.specialize_q0() * b.specialize_q0()
+        ).det_twist(1)
+        # constructor input is scanned
         with pytest.raises(ScanCalled):
-            GradedCharacter(2, a.terms).is_symmetric()
+            GradedCharacter(2, a.terms)
 
 
 class TestQWhittaker:
@@ -498,7 +610,9 @@ class TestQWhittaker:
         assert base.det_twist(1) == twisted
 
     def test_symmetric(self):
-        assert qwhittaker_char(Weight(2, (2, 1))).is_symmetric()
+        # the constructor, which refuses nonsymmetric input, accepts its terms
+        ch = qwhittaker_char(Weight(2, (2, 1)))
+        assert GradedCharacter(2, dict(ch.terms)) == ch
 
     def test_float_rank_rejected(self):
         # the rank is read before the cache lookup, so a warm cache answers
@@ -761,11 +875,9 @@ class TestHomogeneousSum:
         assert _homogeneous_sum(2, []).is_zero()
 
     def test_nonsymmetric_term_rejected(self):
-        theta = qwhittaker_char(Weight(2, (1, 1)))
-        lopsided = GradedCharacter(2, {(2, 1, 0): 1})
-        for terms in ([(theta, QPoly.one()), (lopsided, QPoly.q())], [(lopsided, 1)]):
-            with pytest.raises(ValueError):
-                _homogeneous_sum(2, terms)
+        # no sum meets a nonsymmetric term: the constructor refuses it
+        with pytest.raises(ValueError, match="^input is not a symmetric function$"):
+            GradedCharacter(2, {(2, 1, 0): 1})
 
     @pytest.mark.parametrize("second", [(1, 0), (2, 1)])
     def test_gap_must_be_nonnegative_multiple(self, second):
@@ -798,7 +910,7 @@ class TestHomogeneousSum:
                     dominant[tuple(e - shift for e in key)] = poly
             ch = charformulas._orbit_fill(n, dominant)
             if data.draw(st.booleans()):
-                # constructor input, which the sum scans
+                # the same character through the constructor
                 ch = GradedCharacter(n, dict(ch.terms))
             return ch, data.draw(coeffs)
 
@@ -809,13 +921,16 @@ class TestHomogeneousSum:
             if data.draw(st.booleans()):
                 terms.insert(data.draw(st.integers(0, len(terms))), (ch, -coeff))
         if data.draw(st.integers(0, 4)) == 0:
-            lopsided = GradedCharacter(n, {(0,) * n + (1,): 1})
-            terms.insert(data.draw(st.integers(0, len(terms))), (lopsided, 1))
+            # a degree-1 orbit sum, below every pool degree: the sum raises
+            # ArithmeticError unless its gap to the first term is a multiple
+            # of n + 1
+            low = orbit_sum(n, (1,) + (0,) * n)
+            terms.insert(data.draw(st.integers(0, len(terms))), (low, 1))
 
         def outcome(sum_of):
             try:
                 total = sum_of(n, terms)
-            except (ValueError, ArithmeticError) as exc:
+            except ArithmeticError as exc:
                 return type(exc)
             assert total._dominant is not None
             return dict(total.terms)
@@ -950,9 +1065,12 @@ class TestDecompose:
         ]
 
     def test_rejects_nonsymmetric(self):
+        # no peel meets a nonsymmetric input: the constructor refuses it
         for n, key in ((1, (1, 0)), (11, RANK11_KEY)):
-            with pytest.raises(DecompositionError):
-                decompose_weyl_basis(GradedCharacter(n, {key: 1}))
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="^input is not a symmetric function$"):
+                GradedCharacter(n, {key: 1})
+            assert time.perf_counter() - start < 1.0
 
     def test_rejects_non_character(self):
         with pytest.raises(TypeError):

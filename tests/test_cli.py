@@ -8,18 +8,20 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 from weylchar import cli
 
 
-def run_cli(*args, stdin=None):
+def run_cli(*args, stdin=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "weylchar", *args],
         capture_output=True,
         text=True,
         input=stdin,
+        timeout=timeout,
     )
 
 
@@ -290,6 +292,32 @@ class TestDecompose:
                 ],
             }
         )
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            # x1 without x2: a permutation is missing
+            [([1, 0], [1])],
+            # x1 + q x2: one orbit with unequal coefficients
+            [([1, 0], [1]), ([0, 1], [0, 1])],
+            # one key of an orbit of 12! keys, refused without listing it
+            [(list(range(11, -1, -1)), [1])],
+        ],
+        ids=["missing-permutation", "unequal-orbit", "rank11"],
+    )
+    def test_nonsymmetric_input_is_refused(self, terms):
+        payload = {
+            "rank": len(terms[0][0]) - 1,
+            "terms": [{"exponents": e, "coefficient": c} for e, c in terms],
+        }
+        start = time.perf_counter()
+        # a peel of the rank-11 key would not finish: the timeout ends it
+        out = run_cli("decompose", stdin=json.dumps(payload), timeout=10)
+        # an interpreter start and an import, not a walk of the orbit
+        assert time.perf_counter() - start < 1.0
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == "error: input is not a symmetric function\n"
 
     def test_repeated_exponents_add_up(self):
         term = {"exponents": [0, 0], "coefficient": [1]}

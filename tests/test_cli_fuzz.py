@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 from unittest import mock
 
@@ -189,11 +190,11 @@ def test_json_text_matches_the_stdlib_encoder(value):
 
 @st.composite
 def characters(draw):
-    """An orbit fill from the branching rule, or a nonsymmetric character.
+    """An orbit fill from the branching rule, or orbit sums through the constructor.
 
-    The nonsymmetric ones put a few coefficients, negative and beyond 2**64
-    among them, on unrelated keys, so that equal coefficients sit on keys
-    of different orbits and keys of one orbit carry different coefficients.
+    The orbit sums put a few coefficients, negative and beyond 2**64 among
+    them, on the orbits of unrelated dominant keys, so that equal
+    coefficients sit on keys of different orbits.
     """
     if draw(st.booleans()):
         n = draw(st.integers(1, 5))
@@ -207,13 +208,22 @@ def characters(draw):
     pool = draw(st.lists(st.lists(INTS, min_size=1, max_size=4), min_size=1, max_size=3))
     keys = draw(
         st.dictionaries(
-            st.tuples(*[st.integers(0, 3)] * (n + 1)),
+            st.tuples(*[st.integers(0, 3)] * (n + 1)).map(
+                lambda key: tuple(sorted(key, reverse=True))
+            ),
             st.integers(0, len(pool) - 1),
             max_size=12,
         )
     )
     # a new QPoly per key: equal coefficients need not be one object
-    return GradedCharacter(n, {key: QPoly(enumerate(pool[i])) for key, i in keys.items()})
+    return GradedCharacter(
+        n,
+        {
+            perm: QPoly(enumerate(pool[i]))
+            for key, i in keys.items()
+            for perm in set(itertools.permutations(key))
+        },
+    )
 
 
 EXTRAS = st.sampled_from(

@@ -58,7 +58,7 @@ VALUE_FACTORIES = {
     Root: lambda: Root(1, 2),
     Partition: lambda: Partition((2, 1)),
     QPoly: lambda: QPoly({0: 1, 2: 3}),
-    GradedCharacter: lambda: GradedCharacter(1, {(1, 0): QPoly.q()}),
+    GradedCharacter: lambda: GradedCharacter(1, {(1, 0): QPoly.q(), (0, 1): QPoly.q()}),
     GTPattern: lambda: GTPattern([(0,), (1, 0)]),
     POP: lambda: lowest_weight_pop(Weight(1, (1,))),
     BasisWord: lambda: BasisWord([((1, 1), {0: 1})]),
