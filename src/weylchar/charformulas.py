@@ -24,16 +24,19 @@ and sums are int * and +. Every coefficient of P_row has nonnegative
 coefficients adding up to at most dim W(row), so w, the byte length of
 dim W(row), leaves no carry between the w-byte slots. qalg owns the slots:
 _unsigned_value packs the q-binomial weights, and _unsigned_coeffs unpacks
-values to QPoly at the orbit fill of a character and at each step of the
-peel; every API, result and character cache holds QPoly.
+values to QPoly at each character build and at each step of the peel;
+every API, result and character cache holds QPoly.
 
 Every character the paper handles is symmetric, and so is every
-GradedCharacter: its dominant terms determine it. The constructor runs
-_dominant_terms, the one symmetry test and split, and refuses anything
-else; _orbit_fill is the one way back. Every operation, from + and
-det_twist to products, the closed-form sums and the peel, maps dominant
-terms and fills the orbits once, and two characters are equal exactly when
-their dominant terms are.
+GradedCharacter: its dominant terms, a Z[q]-combination of monomial
+symmetric functions (Macdonald, Ch. I §2), determine it, and they are all
+it stores. The constructor runs _dominant_terms, the one symmetry test and
+split, and refuses anything else; _from_dominant is the one way back.
+Every operation, from + and det_twist to products, the closed-form sums
+and the peel, maps dominant terms, and two characters are equal exactly
+when their dominant terms are. Orbits are counted by _orbit_size and
+listed by _orbit only where they are walked: by the `terms` view, which
+output reads, and by the product walk.
 
 A product of two characters is a sum of products m_d * m_e of
 monomial symmetric functions, m_d the orbit sum of a dominant key d, whose
@@ -97,13 +100,14 @@ class GradedCharacter(_Value):
     """Symmetric Z[q]-combination of monomials x^e, e an (n+1)-tuple of exponents.
 
     Every character is symmetric in x_1, ..., x_{n+1}: the constructor
-    refuses any other input with ValueError. `terms` maps each exponent
-    tuple to a nonzero QPoly, and `_dominant` each weakly decreasing one;
-    both are read-only. Every operation maps the dominant terms and fills
-    the orbits once (_orbit_fill), and equality compares dominant terms.
+    refuses any other input with ValueError. It stores only `_dominant`, a
+    read-only map of each weakly decreasing exponent tuple to its nonzero
+    QPoly; `terms`, every exponent tuple with its QPoly, is a read-only
+    view built from it on each read. Every operation maps the dominant
+    terms (_from_dominant), and equality compares them.
     """
 
-    __slots__ = ("n", "terms", "_dominant")
+    __slots__ = ("n", "_dominant")
 
     def __init__(self, n, terms=None):
         n = operator.index(n)
@@ -115,8 +119,18 @@ class GradedCharacter(_Value):
         if dominant is None:
             raise ValueError("input is not a symmetric function")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", MappingProxyType(data))
         object.__setattr__(self, "_dominant", MappingProxyType(dominant))
+
+    @property
+    def terms(self):
+        """Read-only {exponent tuple: QPoly} over every orbit of the character.
+
+        Each read builds the mapping from the dominant terms, so a caller
+        that reads it key by key takes it once.
+        """
+        return MappingProxyType(
+            {perm: p for d, p in self._dominant.items() for perm in _orbit(d)}
+        )
 
     @classmethod
     def zero(cls, n):
@@ -127,7 +141,7 @@ class GradedCharacter(_Value):
         return cls(n, {(0,) * (n + 1): QPoly.one()})
 
     def is_zero(self):
-        return not self.terms
+        return not self._dominant
 
     def _check_rank(self, other):
         if self.n != other.n:
@@ -137,7 +151,7 @@ class GradedCharacter(_Value):
         if not isinstance(other, GradedCharacter):
             return NotImplemented
         self._check_rank(other)
-        return _orbit_fill(
+        return _from_dominant(
             self.n, _accumulate(dict(self._dominant), other._dominant.items())
         )
 
@@ -146,10 +160,10 @@ class GradedCharacter(_Value):
             return NotImplemented
         self._check_rank(other)
         negated = ((k, -p) for k, p in other._dominant.items())
-        return _orbit_fill(self.n, _accumulate(dict(self._dominant), negated))
+        return _from_dominant(self.n, _accumulate(dict(self._dominant), negated))
 
     def __neg__(self):
-        return _orbit_fill(self.n, {k: -p for k, p in self._dominant.items()})
+        return _from_dominant(self.n, {k: -p for k, p in self._dominant.items()})
 
     def __mul__(self, other):
         """Product with a character, an int or a QPoly.
@@ -162,15 +176,17 @@ class GradedCharacter(_Value):
             if isinstance(other, int):
                 other = QPoly.const(other)
             if other.is_zero():
-                return _orbit_fill(self.n, {})
+                return _from_dominant(self.n, {})
             # Z[q] has no zero divisors, so no product coefficient vanishes
-            return _orbit_fill(
+            return _from_dominant(
                 self.n, {k: p * other for k, p in self._dominant.items()}
             )
         if not isinstance(other, GradedCharacter):
             return NotImplemented
         self._check_rank(other)
-        return _orbit_fill(self.n, _symmetric_product(self._dominant, other._dominant))
+        return _from_dominant(
+            self.n, _symmetric_product(self._dominant, other._dominant)
+        )
 
     __rmul__ = __mul__
 
@@ -181,18 +197,18 @@ class GradedCharacter(_Value):
             raise ValueError("determinant twist must be nonnegative")
         if c == 0:
             return self
-        return _orbit_fill(
+        return _from_dominant(
             self.n, {tuple(e + c for e in k): p for k, p in self._dominant.items()}
         )
 
     def q1_dimension(self):
         """Total dimension: one coefficient per orbit at q = 1, times its size."""
-        return sum(len(_orbit(d)) * p.at_one() for d, p in self._dominant.items())
+        return sum(_orbit_size(d) * p.at_one() for d, p in self._dominant.items())
 
     def specialize_q0(self):
         """Set q = 0, keeping only constant terms."""
         constants = ((k, p.constant_term()) for k, p in self._dominant.items())
-        return _orbit_fill(self.n, {k: QPoly.const(c) for k, c in constants if c})
+        return _from_dominant(self.n, {k: QPoly.const(c) for k, c in constants if c})
 
     def total_degree(self):
         """Common exponent-sum of all monomials, or None if mixed/empty."""
@@ -207,21 +223,21 @@ class GradedCharacter(_Value):
     __hash__ = None  # equality reads the dominant terms dict
 
     def __repr__(self):
-        return "GradedCharacter(%d, %d terms)" % (self.n, len(self.terms))
+        size = sum(map(_orbit_size, self._dominant))
+        return "GradedCharacter(%d, %d terms)" % (self.n, size)
 
     def to_json(self):
         return {
             "rank": self.n,
             "terms": [
-                {"exponents": list(k), "coefficient": self.terms[k].coefficient_list()}
-                for k in sorted(self.terms)
+                {"exponents": list(k), "coefficient": p.coefficient_list()}
+                for k, p in sorted(self.terms.items())
             ],
         }
 
 
 _new_object = object.__new__
 _set_n = GradedCharacter.n.__set__
-_set_terms = GradedCharacter.terms.__set__
 _set_dominant = GradedCharacter._dominant.__set__
 
 
@@ -264,8 +280,8 @@ def _dominant_terms(terms):
     """{dominant key: coeff} of a symmetric term dict, None if it is not one.
 
     The one symmetry test: every key carries the coefficient of its sorted
-    key, and the orbit sizes (n+1)!/prod m_i! of the dominant keys add up to
-    len(terms) (Macdonald, Ch. VI). Orbits are counted, never listed.
+    key, and the orbit sizes of the dominant keys add up to len(terms).
+    Orbits are counted, never listed.
     """
     dominant = {}
     size = 0
@@ -273,25 +289,39 @@ def _dominant_terms(terms):
         canon = tuple(sorted(key, reverse=True))
         if canon == key:
             dominant[key] = poly
-            size += math.factorial(len(key)) // math.prod(
-                map(math.factorial, Counter(key).values())
-            )
+            size += _orbit_size(key)
         elif terms.get(canon) != poly:
             return None
     return dominant if size == len(terms) else None
 
 
-def _orbit_fill(n, dominant):
+def _orbit_size(key):
+    """The number (n+1)!/prod m_i! of distinct permutations of a dominant key.
+
+    The m_i are the multiplicities of the n+1 entries. Equal entries of a
+    weakly decreasing key are adjacent, so a run of length m divides by 2,
+    3, ..., m in turn, and every partial quotient is a whole number.
+    """
+    size = math.factorial(len(key))
+    run = 1
+    for prev, entry in zip(key, key[1:]):
+        if entry == prev:
+            run += 1
+            size //= run
+        else:
+            run = 1
+    return size
+
+
+def _from_dominant(n, dominant):
     """The character with these dominant terms: every operation's result.
 
-    Each coefficient is shared by every key of its orbit. The character
-    carries a read-only view of `dominant`, which must hold dominant keys
-    and nonzero coefficients only and not be written to afterwards.
+    The character carries a read-only view of `dominant`, which must hold
+    dominant keys and nonzero coefficients only and not be written to
+    afterwards.
     """
-    data = {perm: coeff for key, coeff in dominant.items() for perm in _orbit(key)}
     ch = _new_object(GradedCharacter)
     _set_n(ch, n)
-    _set_terms(ch, MappingProxyType(data))
     _set_dominant(ch, MappingProxyType(dominant))
     return ch
 
@@ -322,17 +352,17 @@ def _symmetric_product(a, b):
         return {}
     width = _slot_width(_abs_total(a) * _abs_max(b))
     a_terms, b_terms = (
-        [(d, _signed_value(p.coeffs, width), _orbit(d)) for d, p in f.items()]
+        [(d, _signed_value(p.coeffs, width), _orbit_size(d)) for d, p in f.items()]
         for f in (a, b)
     )
     add = operator.add
     product = {}
-    for d, x, orbit_d in a_terms:
-        for e, y, orbit_e in b_terms:
-            if len(orbit_e) <= len(orbit_d):
-                fixed, walk, step = d, orbit_e, x * y * len(orbit_d)
+    for d, x, size_d in a_terms:
+        for e, y, size_e in b_terms:
+            if size_e <= size_d:
+                fixed, walk, step = d, _orbit(e), x * y * size_d
             else:
-                fixed, walk, step = e, orbit_d, x * y * len(orbit_e)
+                fixed, walk, step = e, _orbit(d), x * y * size_e
             for beta in walk:
                 key = tuple(sorted(map(add, fixed, beta), reverse=True))
                 acc = product.get(key)
@@ -340,13 +370,13 @@ def _symmetric_product(a, b):
     out = {}
     for key, value in product.items():
         if value:
-            out[key] = _wrap(_signed_coeffs(value // len(_orbit(key)), width))
+            out[key] = _wrap(_signed_coeffs(value // _orbit_size(key), width))
     return out
 
 
 def _abs_total(dominant):
     """N(f): the sum of |coefficient| over every term of a symmetric character."""
-    return sum(len(_orbit(d)) * sum(map(abs, p.coeffs)) for d, p in dominant.items())
+    return sum(_orbit_size(d) * sum(map(abs, p.coeffs)) for d, p in dominant.items())
 
 
 def _abs_max(dominant):
@@ -358,7 +388,7 @@ def _homogeneous_sum(n, terms):
     """Sum of coeff * ch over (ch, coeff) pairs of symmetric characters.
 
     Each term's dominant terms are det-twisted up to the total degree of
-    the first nonzero term and scaled, and the orbits are filled once.
+    the first nonzero term, scaled and added.
     ArithmeticError when a gap is not a nonnegative multiple of n+1,
     TypeError for a coefficient that is neither int nor QPoly.
 
@@ -407,7 +437,7 @@ def _homogeneous_sum(n, terms):
             value = _signed_value(p.coeffs, width) * scale
             acc = packed.get(key)
             packed[key] = value if acc is None else acc + value
-    return _orbit_fill(
+    return _from_dominant(
         n,
         {
             key: _wrap(_signed_coeffs(value, width))
@@ -420,8 +450,8 @@ def _homogeneous_sum(n, terms):
 def char_multiply(a, b):
     """Product of graded characters (monomial convolution).
 
-    The operands are multiplied on the dominant cone and the product filled
-    in by orbits; see GradedCharacter.__mul__.
+    The operands are multiplied on the dominant cone; see
+    GradedCharacter.__mul__.
     """
     if not isinstance(a, GradedCharacter) or not isinstance(b, GradedCharacter):
         raise TypeError("char_multiply expects two GradedCharacter operands")
@@ -451,14 +481,16 @@ def qwhittaker_partition_char(p, n):
         raise ValueError("rank must be a positive integer")
     if not isinstance(p, Partition):
         p = Partition(p)
-    return _partition_char_cached(p.padded(n + 1), n)
+    return _partition_char_cached(p.padded(n + 1))
 
 
 @functools.lru_cache(maxsize=None)
-def _partition_char_cached(row, n):
+def _partition_char_cached(row):
+    """P_row at rank len(row) - 1, its dominant terms unpacked to QPoly."""
     width = _row_width(row)
-    return _orbit_fill(
-        n, {k: _unpack(v, width) for k, v in _row_dominant_terms(row, width).items()}
+    return _from_dominant(
+        len(row) - 1,
+        {k: _unpack(v, width) for k, v in _row_dominant_terms(row, width).items()},
     )
 
 

@@ -143,14 +143,16 @@ def _render_character(args, ch, plain_head, extra):
     coefficient is rendered once per call and its text reused by every key
     that carries it. The JSON "terms" array is written here, one level deep
     in the payload, as the bytes _json_text would write for
-    GradedCharacter.to_json()["terms"].
+    GradedCharacter.to_json()["terms"]. ch.terms is built on each read, so
+    it is read once here.
     """
-    keys = sorted(ch.terms)
+    terms = ch.terms
+    keys = sorted(terms)
 
     def texts(render):
         memo = {}
         for key in keys:
-            poly = ch.terms[key]
+            poly = terms[key]
             text = memo.get(poly.coeffs)
             if text is None:
                 text = memo[poly.coeffs] = render(poly)

@@ -23,6 +23,7 @@ import operator
 from .charformulas import (
     _homogeneous_sum,
     _m_module_edges,
+    _orbit_size,
     _tensor_product,
     m_module_char,
     truncated_char,
@@ -116,7 +117,8 @@ def _verify_filtration(name, params, family):
 def _check_product(name, params, variant, closed):
     """Pass when closed is the brute product of variant's factors at params."""
     product = _tensor_product(variant, params["m"], params["k"], params["rank"])
-    return _report(name, params, product == closed, {"terms": len(closed.terms)})
+    terms = sum(map(_orbit_size, closed._dominant))
+    return _report(name, params, product == closed, {"terms": terms})
 
 
 def truncated_dim_check(lam, j):

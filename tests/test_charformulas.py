@@ -37,6 +37,7 @@ from weylchar import charformulas, gtpop, qalg
 from weylchar.charformulas import (
     _homogeneous_sum,
     _orbit,
+    _orbit_size,
     _partition_char_cached,
     _row_dominant_terms,
     _row_width,
@@ -63,17 +64,32 @@ def is_dominant(key):
 def all_pairs_product(a, b):
     """Reference product: one QPoly multiply per pair of terms, no symmetry."""
     data = {}
+    b_terms = b.terms.items()
     for k1, p1 in a.terms.items():
-        for k2, p2 in b.terms.items():
+        for k2, p2 in b_terms:
             key = tuple(map(operator.add, k1, k2))
             data[key] = data.get(key, QPoly.zero()) + p1 * p2
     return GradedCharacter(a.n, data)
 
 
+def orbit_sums(n, *pairs):
+    """Sum over (key, coeff) pairs of coeff times the orbit sum of key.
+
+    Built by the constructor from every distinct permutation of each key.
+    """
+    return GradedCharacter(
+        n,
+        {
+            perm: coeff
+            for key, coeff in pairs
+            for perm in set(itertools.permutations(key))
+        },
+    )
+
+
 def orbit_sum(n, key, coeff=1):
     """coeff times the sum of x^perm over the distinct permutations of key."""
-    perms = set(itertools.permutations(key))
-    return GradedCharacter(n, {perm: coeff for perm in perms})
+    return orbit_sums(n, (key, coeff))
 
 
 def reference_homogeneous_sum(n, terms):
@@ -95,7 +111,7 @@ def reference_homogeneous_sum(n, terms):
             )
         shifted = ((tuple(e + shift for e in k), p) for k, p in dominant.items())
         charformulas._accumulate(data, ((k, p * coeff) for k, p in shifted))
-    return charformulas._orbit_fill(n, data)
+    return charformulas._from_dominant(n, data)
 
 
 class TestGradedCharacter:
@@ -128,12 +144,26 @@ class TestGradedCharacter:
         lam = Weight(2, (1, 1))
         shared = qwhittaker_char(lam)
         terms, dominant = dict(shared.terms), shared._dominant
-        for attr in GradedCharacter.__slots__:
+        # terms is a property, not a slot
+        for attr in (*GradedCharacter.__slots__, "terms"):
             with pytest.raises(AttributeError, match="GradedCharacter is immutable"):
                 delattr(shared, attr)
         assert qwhittaker_char(lam) is shared
         assert (shared.n, shared.terms, shared._dominant) == (2, terms, dominant)
         assert shared.q1_dimension() == 9
+
+    def test_terms_is_a_read_only_view(self):
+        ch = orbit_sum(2, (2, 1, 0), QPoly({0: 1, 1: 2}))
+        # each read builds the view anew, with the same items
+        assert ch.terms == ch.terms
+        assert isinstance(ch.terms, MappingProxyType)
+        with pytest.raises(TypeError):
+            ch.terms[(0, 0, 3)] = QPoly.one()
+        with pytest.raises(AttributeError, match="GradedCharacter is immutable"):
+            ch.terms = {}
+        with pytest.raises(AttributeError, match="GradedCharacter is immutable"):
+            del ch.terms
+        assert len(ch.terms) == 6
 
     def test_char_multiply_needs_characters(self):
         with pytest.raises(TypeError, match="expects two GradedCharacter operands"):
@@ -330,7 +360,7 @@ class TestOperationsOnDominantTerms:
 
         def build(terms):
             ch = GradedCharacter(n, {k: QPoly(p) for k, p in terms.items()})
-            # an orbit fill half the time: the same character, as a result
+            # an operation's result half the time: the same character
             return ch + GradedCharacter.zero(n) if data.draw(st.booleans()) else ch
 
         a = draw_plain()
@@ -483,7 +513,7 @@ class TestCarriedDominantTerms:
             sign = data.draw(st.sampled_from((1, -1)))
             bump = QPoly({data.draw(st.integers(0, 3)): sign})
             if how == "near-fill":
-                # the orbit of one dominant key shifted by +-q^k, still an orbit fill
+                # the orbit of one dominant key shifted by +-q^k, as a sum's result
                 dominant = sorted(k for k in ch.terms if is_dominant(k))
                 key = data.draw(st.sampled_from(dominant))
                 terms = [(ch, QPoly.one()), (orbit_sum(n, key), bump)]
@@ -505,7 +535,7 @@ class TestCarriedDominantTerms:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_q1_dimension_from_dominant_terms(self, data):
-        # an orbit fill adds one coefficient per orbit, times the orbit's
+        # q1_dimension adds one coefficient per orbit, times the orbit's
         # size; the sum over every term is the reference
         n = data.draw(st.integers(1, 3))
         weights = st.tuples(*(st.integers(0, 2) for _ in range(n))).map(
@@ -571,6 +601,81 @@ class TestCarriedDominantTerms:
         # constructor input is scanned
         with pytest.raises(ScanCalled):
             GradedCharacter(2, a.terms)
+
+
+class OrbitListed(Exception):
+    """Raised by a stand-in for _orbit."""
+
+
+def refuse_orbits(monkeypatch):
+    """Make charformulas._orbit raise OrbitListed for the rest of the test."""
+
+    def refuse(key):
+        raise OrbitListed(key)
+
+    monkeypatch.setattr(charformulas, "_orbit", refuse)
+
+
+class TestOrbitsListedOnlyWhereWalked:
+    """Only products and the terms view list orbits.
+
+    Every other operation counts them, so each test here but the last runs
+    with _orbit refusing.
+    """
+
+    def test_uncached_build(self, monkeypatch):
+        refuse_orbits(monkeypatch)
+        lam = Weight(3, (2, 1, 2))
+        _partition_char_cached.cache_clear()
+        ch = qwhittaker_char(lam)
+        assert _partition_char_cached.cache_info().misses == 1
+        # dim W(lam) = prod_i C(4, i)^{lam_i}
+        assert ch.q1_dimension() == 4**2 * 6 * 4**2
+        size = sum(len(set(itertools.permutations(d))) for d in ch._dominant)
+        assert repr(ch) == "GradedCharacter(3, %d terms)" % size
+
+    def test_operations(self, monkeypatch):
+        refuse_orbits(monkeypatch)
+        q = QPoly.q()
+        a = orbit_sums(2, ((2, 1, 0), QPoly({0: 1, 1: 2})), ((1, 1, 1), 3))
+        b = orbit_sums(2, ((2, 1, 0), -1), ((3, 0, 0), q))
+        assert a.q1_dimension() == 6 * 3 + 3
+        assert repr(a) == "GradedCharacter(2, 7 terms)"
+        assert a == orbit_sums(2, ((1, 1, 1), 3), ((2, 1, 0), QPoly({0: 1, 1: 2})))
+        assert not a == b
+        assert a + b == orbit_sums(
+            2, ((2, 1, 0), QPoly({1: 2})), ((1, 1, 1), 3), ((3, 0, 0), q)
+        )
+        assert a - b == orbit_sums(
+            2, ((2, 1, 0), QPoly({0: 2, 1: 2})), ((1, 1, 1), 3), ((3, 0, 0), -q)
+        )
+        assert -b == orbit_sums(2, ((2, 1, 0), 1), ((3, 0, 0), -q))
+        assert a * 2 == 2 * a == orbit_sums(
+            2, ((2, 1, 0), QPoly({0: 2, 1: 4})), ((1, 1, 1), 6)
+        )
+        assert b * q == orbit_sums(2, ((2, 1, 0), -q), ((3, 0, 0), q * q))
+        assert a.det_twist(1) == orbit_sums(
+            2, ((3, 2, 1), QPoly({0: 1, 1: 2})), ((2, 2, 2), 3)
+        )
+        assert b.specialize_q0() == orbit_sums(2, ((2, 1, 0), -1))
+
+    def test_closed_form_sum_and_peel(self, monkeypatch):
+        # the reference values, products among them, are taken before _orbit
+        # refuses
+        lam = Weight(2, (1, 1))
+        weyl, trivial = qwhittaker_char(lam), qwhittaker_char(Weight(2, (0, 0)))
+        terms = [(weyl, 1), (trivial, -QPoly.q())]
+        expected_sum = truncated_char(lam, 1)
+        product = qwhittaker_char(Weight(2, (2, 1))) * weyl
+        expected_peel = decompose_weyl_basis(product)
+        refuse_orbits(monkeypatch)
+        assert _homogeneous_sum(2, terms) == expected_sum
+        assert decompose_weyl_basis(product) == expected_peel
+
+    @pytest.mark.parametrize("length", range(1, 8))
+    def test_orbit_size_counts_the_orbit(self, length):
+        for key in itertools.combinations_with_replacement(range(3, -1, -1), length):
+            assert _orbit_size(key) == len(_orbit(key))
 
 
 class TestQWhittaker:
@@ -908,7 +1013,7 @@ class TestHomogeneousSum:
                 poly = QPoly(data.draw(polys))
                 if poly and min(key) >= shift:
                     dominant[tuple(e - shift for e in key)] = poly
-            ch = charformulas._orbit_fill(n, dominant)
+            ch = charformulas._from_dominant(n, dominant)
             if data.draw(st.booleans()):
                 # the same character through the constructor
                 ch = GradedCharacter(n, dict(ch.terms))
@@ -942,7 +1047,7 @@ class TestHomogeneousSum:
         # x1^2 coefficient 2^71 does not fit in 9; the constant character
         # is det-twisted up to (1, 1)
         big = 2**70
-        fill = functools.partial(charformulas._orbit_fill, 1)
+        fill = functools.partial(charformulas._from_dominant, 1)
         terms = [
             (fill({(2, 0): QPoly.one(), (1, 1): QPoly.const(-1)}), big),
             (fill({(2, 0): QPoly.one()}), QPoly({0: big, 1: -big})),

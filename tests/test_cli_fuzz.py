@@ -190,7 +190,7 @@ def test_json_text_matches_the_stdlib_encoder(value):
 
 @st.composite
 def characters(draw):
-    """An orbit fill from the branching rule, or orbit sums through the constructor.
+    """A character from the branching rule, or orbit sums through the constructor.
 
     The orbit sums put a few coefficients, negative and beyond 2**64 among
     them, on the orbits of unrelated dominant keys, so that equal
@@ -247,8 +247,10 @@ def _rendered(ch, fmt, head, extra):
 def test_character_render_matches_the_per_term_reference(ch, extra):
     # the reference renders every term on its own, as the CLI once did
     head = ["rank: %d" % ch.n]
-    keys = sorted(ch.terms)
-    q1 = sum(p.at_one() for p in ch.terms.values())
+    # each read of ch.terms builds it anew, so it is read once
+    terms = ch.terms
+    keys = sorted(terms)
+    q1 = sum(p.at_one() for p in terms.values())
     payload = {**ch.to_json(), "q1_dimension": q1, **extra}
     assert _rendered(ch, "json", head, extra) == json.dumps(
         payload, indent=2, sort_keys=True
@@ -256,9 +258,9 @@ def test_character_render_matches_the_per_term_reference(ch, extra):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["x%d" % (i + 1) for i in range(ch.n + 1)] + ["coefficient"])
-    writer.writerows([*key, str(ch.terms[key])] for key in keys)
+    writer.writerows([*key, str(terms[key])] for key in keys)
     assert _rendered(ch, "csv", head, extra) == buf.getvalue()
     lines = head + ["dimension(q=1): %d" % q1] + [
-        "x^(%s): %s" % (",".join(str(e) for e in key), ch.terms[key]) for key in keys
+        "x^(%s): %s" % (",".join(str(e) for e in key), terms[key]) for key in keys
     ]
     assert _rendered(ch, "plain", head, extra) == "\n".join(lines) + "\n"
