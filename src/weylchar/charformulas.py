@@ -23,9 +23,11 @@ done once per memo entry instead of once per psi multiply. Its psi products
 and sums are int * and +. Every coefficient of P_row has nonnegative
 coefficients adding up to at most dim W(row), so w, the byte length of
 dim W(row), leaves no carry between the w-byte slots. qalg owns the slots:
-_unsigned_value packs the q-binomial weights, and _unsigned_coeffs unpacks
-values to QPoly at each character build and at each step of the peel;
-every API, result and character cache holds QPoly.
+_packed_binomial builds each q-binomial weight at q = 256^w by the Pascal
+rule on the packed ints, so building a character calls no q_binomial and
+builds no QPoly binomial, and _unsigned_coeffs unpacks values to QPoly at
+each character build and at each step of the peel; every API, result and
+character cache holds QPoly.
 
 Every character the paper handles is symmetric, and so is every
 GradedCharacter: its dominant terms, a Z[q]-combination of monomial
@@ -71,11 +73,11 @@ from .gtpop import (
 )
 from .qalg import (
     QPoly,
+    _packed_binomial,
     _signed_coeffs,
     _signed_value,
     _slot_width,
     _unsigned_coeffs,
-    _unsigned_value,
     _wrap,
     q_binomial,
     q_pochhammer,
@@ -545,12 +547,6 @@ def _row_width(row):
     # the weight of row, whose bounding row it is up to determinant columns
     dim = pop_count(Weight(len(row) - 1, map(operator.sub, row, row[1:])))
     return (dim.bit_length() + 7) // 8
-
-
-@functools.lru_cache(maxsize=None)
-def _packed_binomial(n, r, width):
-    """[n r]_q evaluated at q = 256^width."""
-    return _unsigned_value(q_binomial(n, r).coeffs, width)
 
 
 def _unpack(value, width):

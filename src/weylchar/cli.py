@@ -404,62 +404,74 @@ def _cmd_verify(args):
     return 1 if counts["fail"] else 0
 
 
-def _build_parser():
+_RANK = ("--rank", {"type": int, "required": True})
+_WEIGHT = ("--weight", {
+    "required": True, "help": "comma-separated fundamental-weight coefficients"
+})
+_M = ("--m", {"type": int, "required": True})
+
+# name: (help, handler, options after --format and --out), in listing order
+_COMMANDS = {
+    "char": ("graded Weyl character", _cmd_char, (_RANK, _WEIGHT)),
+    "dim": ("local Weyl module dimension", _cmd_dim, (_RANK, _WEIGHT)),
+    "pops": ("enumerate partition-overlaid patterns", _cmd_pops, (_RANK, _WEIGHT)),
+    "pieri": ("one-row Pieri expansion", _cmd_pieri, (
+        _RANK,
+        ("--partition", {
+            "required": True, "help": "comma-separated weakly decreasing parts"
+        }),
+        _M,
+    )),
+    "tensor": ("brute product of two Weyl characters", _cmd_tensor, (
+        _RANK,
+        ("--variant", {"required": True, "choices": TENSOR_VARIANTS}),
+        _M,
+        ("--k", {"type": int, "required": True}),
+    )),
+    "decompose": ("expand a character in the Weyl basis", _cmd_decompose, (
+        ("--in", {
+            "dest": "infile", "default": None,
+            "help": "character JSON file (default: stdin)",
+        }),
+    )),
+    "verify": ("run identity verification suites", _cmd_verify, (
+        ("--suite", {"default": None}),
+        ("--list", {"action": "store_true", "help": "list available suites"}),
+        ("--max-mk", {
+            "dest": "max_mk", "type": int, "default": None,
+            "help": "override the m, k sweep bound where applicable",
+        }),
+    )),
+}
+
+
+def _build_parser(command=None):
+    """The argparse tree: the top parser and the subparser of `command`.
+
+    A name that is not a command, None included, builds every subparser, so
+    help and usage errors read as they always have. With one subparser the
+    top parser still names every command in its usage line; the full tree
+    leaves that metavar unset, since argparse would also put it in place of
+    "command" in its error texts.
+    """
     parser = argparse.ArgumentParser(
         prog="weylchar",
         description="Graded characters of local Weyl modules for sl(n+1)[t]",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, rank=False, weight=False):
+    if command in _COMMANDS:
+        names = (command,)
+        metavar = "{%s}" % ",".join(_COMMANDS)
+    else:
+        names, metavar = _COMMANDS, None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, handler, options = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=_FORMATS, default="plain")
         p.add_argument("--out", default=None, help="write output to a file")
-        if rank:
-            p.add_argument("--rank", type=int, required=True)
-        if weight:
-            p.add_argument("--weight", required=True,
-                           help="comma-separated fundamental-weight coefficients")
-
-    p = sub.add_parser("char", help="graded Weyl character")
-    common(p, rank=True, weight=True)
-    p.set_defaults(func=_cmd_char)
-
-    p = sub.add_parser("dim", help="local Weyl module dimension")
-    common(p, rank=True, weight=True)
-    p.set_defaults(func=_cmd_dim)
-
-    p = sub.add_parser("pops", help="enumerate partition-overlaid patterns")
-    common(p, rank=True, weight=True)
-    p.set_defaults(func=_cmd_pops)
-
-    p = sub.add_parser("pieri", help="one-row Pieri expansion")
-    common(p, rank=True)
-    p.add_argument("--partition", required=True,
-                   help="comma-separated weakly decreasing parts")
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=_cmd_pieri)
-
-    p = sub.add_parser("tensor", help="brute product of two Weyl characters")
-    common(p, rank=True)
-    p.add_argument("--variant", required=True, choices=TENSOR_VARIANTS)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_tensor)
-
-    p = sub.add_parser("decompose", help="expand a character in the Weyl basis")
-    common(p)
-    p.add_argument("--in", dest="infile", default=None,
-                   help="character JSON file (default: stdin)")
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("verify", help="run identity verification suites")
-    common(p)
-    p.add_argument("--suite", default=None)
-    p.add_argument("--list", action="store_true", help="list available suites")
-    p.add_argument("--max-mk", dest="max_mk", type=int, default=None,
-                   help="override the m, k sweep bound where applicable")
-    p.set_defaults(func=_cmd_verify)
-
+        for flag, settings in options:
+            p.add_argument(flag, **settings)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -489,9 +501,11 @@ def _attach_list_values(argv):
 
 def run(argv):
     """Entry point returning an exit code: 0 ok, 1 failed checks, 2 usage."""
-    parser = _build_parser()
+    argv = _attach_list_values(argv)
+    # a cold call builds only the subparser it names
+    parser = _build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(_attach_list_values(argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -17,8 +17,10 @@ memoised (_bias).
 Packed values hold their lowest slot in their lowest bytes, and every slot is
 little-endian, on every host: ints go to and from bytes in "little" order,
 and a machine-integer array is byteswapped on a big-endian host. This module
-is the only one that turns packed values into bytes; the row memo of
-charformulas packs and reads its slots by _unsigned_value and _unsigned_coeffs.
+is the only one that turns packed values into bytes or shifts them by slots.
+The row memo of charformulas takes its q-binomial weights from
+_packed_binomial, which runs the Pascal rule on the values at q = 256^width
+themselves, and reads its slots back by _unsigned_coeffs.
 """
 
 from __future__ import annotations
@@ -118,13 +120,6 @@ def _unsigned_coeffs(value, width):
     if _BYTESWAP:
         slots.byteswap()
     return tuple(slots)
-
-
-def _unsigned_value(coeffs, width):
-    """Inverse of _unsigned_coeffs: the value at q = 256^width of coefficients
-    in [0, 256^width); any other coefficient raises OverflowError."""
-    data = b"".join([c.to_bytes(width, "little") for c in coeffs])
-    return int.from_bytes(data, "little")
 
 
 @functools.cache
@@ -371,6 +366,22 @@ def q_binomial(n, r):
     if r == 0 or r == n:
         return QPoly.one()
     return q_binomial(n - 1, r - 1) + grade_shift(q_binomial(n - 1, r), r)
+
+
+@functools.lru_cache(maxsize=None)
+def _packed_binomial(n, r, width):
+    """[n r]_q evaluated at q = 256^width, for 0 <= r <= n.
+
+    Evaluation at an integer is a ring map, so the Pascal rule of q_binomial
+    holds for the values themselves, with q^r a shift by r slots, and each
+    value is exact whatever its slots hold. No QPoly is built. The recursion
+    is n levels deep, as q_binomial's is.
+    """
+    if r == 0 or r == n:
+        return 1
+    return _packed_binomial(n - 1, r - 1, width) + (
+        _packed_binomial(n - 1, r, width) << 8 * width * r
+    )
 
 
 @functools.lru_cache(maxsize=None, typed=True)

@@ -4,7 +4,11 @@ import functools
 import itertools
 import math
 import operator
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from types import MappingProxyType
@@ -796,7 +800,9 @@ class TestQWhittaker:
         def forbidden(*args):
             raise AssertionError("pop_char reached a branching-route helper")
 
-        for name in ("q_binomial", "_branches", "_row_dominant_terms"):
+        for name in (
+            "q_binomial", "_packed_binomial", "_branches", "_row_dominant_terms"
+        ):
             monkeypatch.setattr(charformulas, name, forbidden)
         monkeypatch.setattr(gtpop.POP, "__init__", forbidden)
         lam = Weight(3, (2, 0, 1))
@@ -1477,6 +1483,22 @@ class TestRowDominantTerms:
             (Weight(2, (0, 0)), QPoly.one()),
             (Weight(2, (12, 0)), QPoly.one()),
         ]
+
+    def test_character_builds_no_q_binomial(self):
+        # the row memo's weights come from qalg._packed_binomial, the Pascal
+        # rule on packed ints, so a fresh build leaves q_binomial's memo empty
+        probe = (
+            "from weylchar import Weight, q_binomial, qwhittaker_char; "
+            "qwhittaker_char(Weight(2, (12, 12))); "
+            "print(q_binomial.cache_info().currsize)"
+        )
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "0\n"
 
     def test_oversized_row_overflows_before_the_width(self, monkeypatch):
         # pop_count would raise 3 to this power and never finish

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 import time
 
 import pytest
@@ -441,7 +443,8 @@ class TestPlumbing:
         ],
     )
     def test_recursion_limit_is_input_error(self, args):
-        # q_binomial's Pascal recursion runs past the recursion limit
+        # a Pascal recursion runs past the recursion limit: char and tensor
+        # in qalg._packed_binomial, pieri in q_binomial
         out = run_cli(*args)
         assert out.returncode == 2
         assert out.stdout == ""
@@ -482,6 +485,79 @@ TENSOR_JSON = (
     '{"coefficient":[2],"exponents":[1,1,0]},{"coefficient":[1],"exponents":[2,0,0]}],'
     '"variant":"omega1_omega1"}'
 )
+
+COMMANDS = ("char", "dim", "pops", "pieri", "tensor", "decompose", "verify")
+
+# usage errors and help of every kind, then one valid call per command
+PARSER_ARGVS = [
+    (),
+    ("-h",),
+    *((name, "-h") for name in COMMANDS),
+    ("frobnicate",),
+    ("char",),
+    ("char", "--rank", "2"),
+    ("tensor", "--variant", "nope", "--m", "1", "--k", "1", "--rank", "2"),
+    ("char", "--rank", "x", "--weight", "1,1"),
+    ("char", "--rank", "1", "--weight", "1", "extra"),
+    ("char", "--", "--rank", "1"),
+    ("--", "char", "--rank", "1", "--weight", "1"),
+    ("char", "--rank", "1", "--weight", "1", "--"),
+    ("char", "--format", "xml", "--rank", "1", "--weight", "1"),
+    ("dim", "--rank", "1", "--weight", "1", "--bogus"),
+    ("chr", "--rank", "1", "--weight", "1"),
+    ("char", "--rank", "2", "--weight", "1,1"),
+    ("dim", "--rank", "2", "--weight", "1,1"),
+    ("pops", "--rank", "2", "--weight", "1,0", "--format", "csv"),
+    ("pieri", "--partition", "2,1", "--m", "2", "--rank", "2"),
+    ("tensor", "--variant", "omega1_omegan", "--m", "1", "--k", "1", "--rank", "2"),
+    ("decompose", "--format", "json"),
+    ("verify", "--suite", "truncated-dim", "--max-mk", "2", "--format", "csv"),
+]
+
+
+class TestOneSubparser:
+    @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+    def test_same_bytes_as_the_full_tree(self, argv, monkeypatch, capsys):
+        # run builds only the subparser that argv[0] names; with every
+        # subparser built, each exit code, stdout and stderr byte is the same
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def call():
+            monkeypatch.setattr(sys, "stdin", io.StringIO(TENSOR_JSON))
+            code = cli.run(list(argv))
+            return code, *capsys.readouterr()
+
+        one = call()
+        full_tree = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda command=None: full_tree())
+        assert call() == one
+
+    @pytest.mark.parametrize(
+        "argv, parsers",
+        [(("char", "--rank", "2", "--weight", "1,1"), 2), (("--help",), 8)],
+    )
+    def test_parsers_built(self, argv, parsers):
+        # the top parser and the named subparser only; help builds them all
+        probe = textwrap.dedent("""
+            import argparse, sys
+            built = []
+            init = argparse.ArgumentParser.__init__
+            def counted(self, *args, **kwargs):
+                built.append(self)
+                init(self, *args, **kwargs)
+            argparse.ArgumentParser.__init__ = counted
+            from weylchar import cli
+            cli.run(sys.argv[1:])
+            sys.stderr.write("parsers: %d\\n" % len(built))
+        """)
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == "parsers: %d\n" % parsers
+
 
 GOLDEN_ARGS = {
     "char": ("char", "--rank", "2", "--weight", "2,1"),

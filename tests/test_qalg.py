@@ -18,11 +18,11 @@ from weylchar import (
 from weylchar import charformulas, qalg
 from weylchar.filtration import verify_tensor_fundamental
 from weylchar.qalg import (
+    _packed_binomial,
     _signed_coeffs,
     _signed_value,
     _trim,
     _unsigned_coeffs,
-    _unsigned_value,
 )
 
 
@@ -144,6 +144,14 @@ def coeff_dicts(draw, max_len=300, low_zeros=0):
     return out
 
 
+def horner_value(coeffs, width):
+    """Value at q = 256^width by a Horner loop of shifts, top slot first."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << 8 * width) + c
+    return value
+
+
 def check_unsigned_slots():
     # full slots, a zero slot and a lone top bit, at the widths read by array
     # and at those read by int.from_bytes: coefficients of the packed row
@@ -153,16 +161,8 @@ def check_unsigned_slots():
         top = 256**width - 1
         coeffs = (top, 0, 1 << (8 * width - 1), 1, top)
         value = sum(c << (8 * width * i) for i, c in enumerate(coeffs))
-        assert _unsigned_value(coeffs, width) == value, width
+        assert horner_value(coeffs, width) == value, width
         assert _unsigned_coeffs(value, width) == coeffs, width
-
-
-def horner_value(coeffs, width):
-    """Value at q = 256^width by a Horner loop of shifts, top slot first."""
-    value = 0
-    for c in reversed(coeffs):
-        value = (value << 8 * width) + c
-    return value
 
 
 class TestDenseArithmetic:
@@ -212,28 +212,22 @@ class TestDenseArithmetic:
         top = 256**width - 1
         entries = st.sampled_from((0, 1, top)) | st.integers(0, top)
         coeffs = data.draw(st.lists(entries, max_size=12))
-        value = _unsigned_value(coeffs, width)
-        assert value == horner_value(coeffs, width)
+        value = horner_value(coeffs, width)
         assert _unsigned_coeffs(value, width) == _trim(coeffs)
-
-    @pytest.mark.parametrize("width", range(1, 13))
-    def test_unsigned_value_rejects_out_of_slot(self, width):
-        # 256^width would carry into the next slot, and a negative
-        # coefficient would borrow from it
-        for coeffs in ((1, 256**width, 1), (1, -1)):
-            with pytest.raises(OverflowError):
-                _unsigned_value(coeffs, width)
 
     def test_packed_binomial_matches_horner(self):
         # every coefficient of [n r]_q is at most C(n, r), so the byte
-        # length of C(n, r) is the narrowest slot that holds it
-        for n in range(31):
+        # length of C(n, r) is the narrowest slot that holds it; the Pascal
+        # rule on packed values is checked at that width and every wider
+        # one up to 12 bytes
+        for n in range(41):
             for r in range(n + 1):
                 coeffs = q_binomial(n, r).coeffs
                 least = (math.comb(n, r).bit_length() + 7) // 8
-                for width in (least, least + 3):
-                    packed = charformulas._packed_binomial(n, r, width)
+                for width in range(least, 13):
+                    packed = _packed_binomial(n, r, width)
                     assert packed == horner_value(coeffs, width), (n, r, width)
+                    assert _unsigned_coeffs(packed, width) == coeffs, (n, r, width)
 
     @settings(deadline=None)
     @given(coeff_dicts(max_len=40))
