@@ -9,6 +9,12 @@ Subcommands:
   decompose  expand a character (JSON, from stdin or a file) in the Weyl basis
   verify     run identity-verification suites
 
+Every option is declared once, in `_COMMANDS` and `_COMMON`. A plain call,
+each option spelled in full and given once with a value that does not start
+with "-", is read straight from that table. argparse is imported and built
+only for help, usage errors and every other spelling; it would read a plain
+call the same way.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error. All output is
 deterministic: repeated runs produce byte-identical results. JSON output is
 the text of json.dumps(payload, sort_keys=True) at an indent of 2 spaces,
@@ -18,12 +24,12 @@ pure-Python encoder for indented output.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
 import math
 import sys
+import types
 
 from .charformulas import (
     TENSOR_VARIANTS,
@@ -59,7 +65,7 @@ def _weight_arg(args):
 
 
 def _emit(text, out_path):
-    if out_path:
+    if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -302,7 +308,7 @@ def _cmd_tensor(args):
 
 def _read_char_json(path):
     try:
-        if path:
+        if path is not None:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
         else:
@@ -331,7 +337,7 @@ def _read_char_json(path):
 
 
 def _cmd_decompose(args):
-    ch = _read_char_json(getattr(args, "infile", None))
+    ch = _read_char_json(args.infile)
     components = decompose_weyl_basis(ch)
     return _render(
         args,
@@ -410,7 +416,13 @@ _WEIGHT = ("--weight", {
 })
 _M = ("--m", {"type": int, "required": True})
 
-# name: (help, handler, options after --format and --out), in listing order
+# the options of every command, before its own
+_COMMON = (
+    ("--format", {"choices": _FORMATS, "default": "plain"}),
+    ("--out", {"default": None, "help": "write output to a file"}),
+)
+
+# name: (help, handler, options after _COMMON), in listing order
 _COMMANDS = {
     "char": ("graded Weyl character", _cmd_char, (_RANK, _WEIGHT)),
     "dim": ("local Weyl module dimension", _cmd_dim, (_RANK, _WEIGHT)),
@@ -436,7 +448,9 @@ _COMMANDS = {
     )),
     "verify": ("run identity verification suites", _cmd_verify, (
         ("--suite", {"default": None}),
-        ("--list", {"action": "store_true", "help": "list available suites"}),
+        ("--list", {
+            "action": "store_true", "default": False, "help": "list available suites"
+        }),
         ("--max-mk", {
             "dest": "max_mk", "type": int, "default": None,
             "help": "override the m, k sweep bound where applicable",
@@ -454,6 +468,8 @@ def _build_parser(command=None):
     leaves that metavar unset, since argparse would also put it in place of
     "command" in its error texts.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="weylchar",
         description="Graded characters of local Weyl modules for sl(n+1)[t]",
@@ -467,12 +483,62 @@ def _build_parser(command=None):
     for name in names:
         help_text, handler, options = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", choices=_FORMATS, default="plain")
-        p.add_argument("--out", default=None, help="write output to a file")
-        for flag, settings in options:
+        for flag, settings in _COMMON + options:
             p.add_argument(flag, **settings)
         p.set_defaults(func=handler)
     return parser
+
+
+def _plain_args(argv):
+    """The namespace argparse gives a plain call of argv, or None.
+
+    A plain call names a command first. Every other token is the full name
+    of one of that command's options, each given at most once, with its
+    value in the next token or after "=": a value that is not empty and does
+    not start with "-", and none for a flag. Every value passes its type and
+    choices, and every required option is given. argparse reads any other
+    argv, so it alone writes help and usage errors.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    _, handler, options = command
+    table = _COMMON + options
+    settings_of = dict(table)
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        settings = settings_of.get(flag)
+        if settings is None or flag in given:
+            return None
+        if settings.get("action") == "store_true":
+            if eq:
+                return None
+            given[flag] = True
+            continue
+        if not eq:
+            value = next(tokens, "")
+        if not value or value.startswith("-"):
+            return None
+        if "type" in settings:
+            try:
+                value = settings["type"](value)
+            except ValueError:
+                return None
+        if "choices" in settings and value not in settings["choices"]:
+            return None
+        given[flag] = value
+    args = types.SimpleNamespace(command=argv[0], func=handler)
+    for flag, settings in table:
+        if flag in given:
+            value = given[flag]
+        elif settings.get("required"):
+            return None
+        else:
+            value = settings.get("default")
+        setattr(args, settings.get("dest", flag[2:].replace("-", "_")), value)
+    return args
 
 
 def _attach_list_values(argv):
@@ -502,12 +568,14 @@ def _attach_list_values(argv):
 def run(argv):
     """Entry point returning an exit code: 0 ok, 1 failed checks, 2 usage."""
     argv = _attach_list_values(argv)
-    # a cold call builds only the subparser it names
-    parser = _build_parser(argv[0] if argv else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
+    args = _plain_args(argv)
+    if args is None:
+        # a cold call builds only the subparser it names
+        parser = _build_parser(argv[0] if argv else None)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
     except (ValueError, OverflowError, DecompositionError, KeyError, OSError) as exc:

@@ -41,11 +41,11 @@ def test_import_is_cold():
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
-    # every CLI call is a cold interpreter, and these two modules alone add
-    # about 12 ms to its import
+    # every CLI call is a cold interpreter; dataclasses and inspect alone add
+    # about 12 ms to its import, and argparse about 3 ms
     probe = (
         "import sys, weylchar.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'argparse', 'dataclasses', 'inspect'} & set(sys.modules)))"
     )
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -452,6 +452,22 @@ class TestPlumbing:
         assert out.stderr.count("\n") == 1
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("char", "--rank", "1", "--weight", "1", "--out", ""),
+            ("char", "--rank", "1", "--weight", "1", "--out="),
+            ("verify", "--list", "--out", ""),
+            ("decompose", "--in", ""),
+        ],
+    )
+    def test_empty_path_is_a_missing_file(self, args):
+        # an empty file name is a path that names no file, not stdout or stdin
+        out = run_cli(*args, stdin=TENSOR_JSON)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == "error: [Errno 2] No such file or directory: ''\n"
+
     def test_unknown_subcommand(self):
         out = run_cli("frobnicate")
         assert out.returncode == 2
@@ -512,32 +528,71 @@ PARSER_ARGVS = [
     ("tensor", "--variant", "omega1_omegan", "--m", "1", "--k", "1", "--rank", "2"),
     ("decompose", "--format", "json"),
     ("verify", "--suite", "truncated-dim", "--max-mk", "2", "--format", "csv"),
+    # spellings that argparse reads and the plain reader leaves to it
+    ("char", "--rank", "2", "--weight="),
+    ("char", "--rank", " 2", "--weight", "1,1"),
+    ("char", "--rank=-1", "--weight", "1"),
+    ("char", "--rank", "-1", "--weight", "1"),
+    ("verify", "--suite", "truncated-dim", "--max-mk", "1_0"),
+    ("verify", "--list=1"),
+    ("verify", "--list", "--out", "-"),
+    ("char", "--rank", "1", "--weight", "1", "--form", "json"),
+    ("char", "--format", "json", "--rank", "1", "--weight", "1", "--format", "csv"),
 ]
 
 
 class TestOneSubparser:
     @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
-    def test_same_bytes_as_the_full_tree(self, argv, monkeypatch, capsys):
-        # run builds only the subparser that argv[0] names; with every
-        # subparser built, each exit code, stdout and stderr byte is the same
+    def test_same_bytes_as_the_full_tree(self, argv, monkeypatch, capsys, tmp_path):
+        # run reads a plain call from the command table and builds only the
+        # subparser that argv[0] names for any other; through argparse alone,
+        # and then with every subparser built, each exit code, stdout and
+        # stderr byte is the same
         monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)  # "--out -" writes a file named "-"
 
         def call():
             monkeypatch.setattr(sys, "stdin", io.StringIO(TENSOR_JSON))
             code = cli.run(list(argv))
-            return code, *capsys.readouterr()
+            return code, *capsys.readouterr(), sorted(os.listdir())
 
         one = call()
+        monkeypatch.setattr(cli, "_plain_args", lambda argv: None)
+        assert call() == one
         full_tree = cli._build_parser
         monkeypatch.setattr(cli, "_build_parser", lambda command=None: full_tree())
         assert call() == one
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("char", "--format", "json", "--rank", "2", "--weight=12,12"),
+            ("tensor", "--format", "json", "--variant", "omega1_omegan",
+             "--m", "2", "--k", "3", "--rank", "3"),
+            ("decompose", "--format", "json"),
+            ("verify", "--suite", "pieri"),
+            ("verify", "--list", "--out", "suites.txt"),
+            ("pieri", "--partition=2,1", "--m", "2", "--rank", "2"),
+        ],
+        ids=" ".join,
+    )
+    def test_plain_call_read_as_argparse_reads_it(self, argv):
+        # the spellings of the bench and the README take the plain reader
+        plain = cli._plain_args(list(argv))
+        assert plain is not None
+        assert vars(plain) == vars(cli._build_parser(argv[0]).parse_args(argv))
+
+    @pytest.mark.parametrize(
         "argv, parsers",
-        [(("char", "--rank", "2", "--weight", "1,1"), 2), (("--help",), 8)],
+        [
+            (("char", "--rank", "2"), 2),
+            (("--help",), 8),
+            (("char", "--rank", "2", "--weight", "1,1"), 0),
+        ],
     )
     def test_parsers_built(self, argv, parsers):
-        # the top parser and the named subparser only; help builds them all
+        # none for a plain call; the top parser and the named subparser for a
+        # usage error; help builds them all
         probe = textwrap.dedent("""
             import argparse, sys
             built = []
@@ -556,7 +611,33 @@ class TestOneSubparser:
             [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env
         )
         assert out.returncode == 0, out.stderr
-        assert out.stderr == "parsers: %d\n" % parsers
+        # after the message of a usage error
+        assert out.stderr.splitlines()[-1] == "parsers: %d" % parsers
+
+    @pytest.mark.parametrize(
+        "argv, plain",
+        [(("char", "--rank", "2", "--weight", "1,1"), True), (("char", "-h"), False)],
+    )
+    def test_plain_call_loads_no_argparse(self, argv, plain):
+        # argparse, and the gettext and locale that its first message loads,
+        # cost a cold call about 5 ms; help still needs argparse
+        probe = textwrap.dedent("""
+            import contextlib, io, sys
+            from weylchar import cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.run(sys.argv[1:])
+            print(sorted({"argparse", "gettext", "locale"} & set(sys.modules)))
+        """)
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env
+        )
+        assert out.returncode == 0, out.stderr
+        if plain:
+            assert out.stdout == "[]\n"
+        else:
+            assert "'argparse'" in out.stdout
 
 
 GOLDEN_ARGS = {

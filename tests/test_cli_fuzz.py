@@ -119,6 +119,48 @@ def test_any_arguments_keep_the_exit_code_contract(argv):
     _run(argv)
 
 
+@st.composite
+def spelled_argvs(draw):
+    """A call of one command, its options in any order and in any spelling.
+
+    Each option is left out, given once or given twice, and each time is
+    spelled in full or as a prefix, with its value after "=" or in the next
+    argument.
+    """
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = [command]
+    for flag, values in draw(st.permutations(sorted(OPTIONS[command].items()))):
+        for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+            spelling = flag
+            if draw(st.integers(0, 3)) == 0:
+                spelling = flag[: draw(st.integers(3, len(flag)))]
+            value = draw(values)
+            if value is None:
+                argv.append(spelling)
+            elif draw(st.booleans()):
+                argv.append("%s=%s" % (spelling, value))
+            else:
+                argv += [spelling, value]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(spelled_argvs() | argvs())
+@example(["char", "--rank", "2", "--weight", "1,1"])
+@example(["verify", "--list", "--max-mk=1_0", "--format", "csv"])
+def test_plain_reader_agrees_with_argparse(argv):
+    # a call that the plain reader takes is read as argparse reads it
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        try:
+            parsed = vars(cli._build_parser(argv[0]).parse_args(argv))
+        except SystemExit:
+            parsed = None
+    plain = cli._plain_args(argv)
+    assert plain is None or vars(plain) == parsed
+
+
 SCALARS = (
     st.none()
     | st.booleans()
