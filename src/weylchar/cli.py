@@ -11,9 +11,10 @@ Subcommands:
 
 Every option is declared once, in `_COMMANDS` and `_COMMON`. A plain call,
 each option spelled in full and given once with a value that does not start
-with "-", is read straight from that table. argparse is imported and built
-only for help, usage errors and every other spelling; it would read a plain
-call the same way.
+with "-", is read straight from that table. argparse is imported, and its
+one tree of every command built, only for help, usage errors and every other
+spelling; it would read a plain call the same way. `verify --list` refuses
+--suite and --max-mk, which a listing would ignore.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error. All output is
 deterministic: repeated runs produce byte-identical results. JSON output is
@@ -359,6 +360,8 @@ def _cmd_decompose(args):
 
 def _cmd_verify(args):
     if args.list:
+        if args.suite is not None or args.max_mk is not None:
+            raise ValueError("--list takes neither --suite nor --max-mk")
         _emit("\n".join(sorted(SUITES) + ["all"]) + "\n", args.out)
         return 0
     if args.suite is None:
@@ -459,29 +462,16 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command=None):
-    """The argparse tree: the top parser and the subparser of `command`.
-
-    A name that is not a command, None included, builds every subparser, so
-    help and usage errors read as they always have. With one subparser the
-    top parser still names every command in its usage line; the full tree
-    leaves that metavar unset, since argparse would also put it in place of
-    "command" in its error texts.
-    """
+def _build_parser():
+    """The argparse tree: the top parser and a subparser for every command."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="weylchar",
         description="Graded characters of local Weyl modules for sl(n+1)[t]",
     )
-    if command in _COMMANDS:
-        names = (command,)
-        metavar = "{%s}" % ",".join(_COMMANDS)
-    else:
-        names, metavar = _COMMANDS, None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, handler, options = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, settings in _COMMON + options:
             p.add_argument(flag, **settings)
@@ -567,13 +557,11 @@ def _attach_list_values(argv):
 
 def run(argv):
     """Entry point returning an exit code: 0 ok, 1 failed checks, 2 usage."""
-    argv = _attach_list_values(argv)
     args = _plain_args(argv)
     if args is None:
-        # a cold call builds only the subparser it names
-        parser = _build_parser(argv[0] if argv else None)
+        # a plain call has no value that starts with "-" to attach
         try:
-            args = parser.parse_args(argv)
+            args = _build_parser().parse_args(_attach_list_values(argv))
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 2
     try:

@@ -371,6 +371,25 @@ class TestVerify:
         assert len(reports) == 9
         assert all(r["status"] == "pass" for r in reports)
 
+    @pytest.mark.parametrize(
+        "extra",
+        [("--suite", "nope"), ("--suite", "pieri"), ("--max-mk", "3"),
+         ("--max-mk=1_0", "--format", "csv")],
+        ids=" ".join,
+    )
+    def test_list_refuses_suite_and_max_mk(self, extra):
+        # a listing would ignore them
+        out = run_cli("verify", "--list", *extra)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == "error: --list takes neither --suite nor --max-mk\n"
+
+    def test_list_takes_format_and_out(self, tmp_path):
+        target = tmp_path / "suites.txt"
+        out = run_cli("verify", "--list", "--format", "csv", "--out", str(target))
+        assert (out.returncode, out.stdout, out.stderr) == (0, "", "")
+        assert target.read_text() == run_cli("verify", "--list").stdout
+
     def test_unknown_suite(self):
         out = run_cli("verify", "--suite", "nope")
         assert out.returncode == 2
@@ -542,12 +561,13 @@ PARSER_ARGVS = [
 
 
 class TestOneSubparser:
+    """The plain reader against argparse's tree of every command."""
+
     @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
     def test_same_bytes_as_the_full_tree(self, argv, monkeypatch, capsys, tmp_path):
-        # run reads a plain call from the command table and builds only the
-        # subparser that argv[0] names for any other; through argparse alone,
-        # and then with every subparser built, each exit code, stdout and
-        # stderr byte is the same
+        # run reads a plain call from the command table and builds argparse's
+        # full tree for any other; through argparse alone, each exit code,
+        # stdout and stderr byte and each file written is the same
         monkeypatch.setenv("COLUMNS", "80")
         monkeypatch.chdir(tmp_path)  # "--out -" writes a file named "-"
 
@@ -558,9 +578,6 @@ class TestOneSubparser:
 
         one = call()
         monkeypatch.setattr(cli, "_plain_args", lambda argv: None)
-        assert call() == one
-        full_tree = cli._build_parser
-        monkeypatch.setattr(cli, "_build_parser", lambda command=None: full_tree())
         assert call() == one
 
     @pytest.mark.parametrize(
@@ -580,19 +597,20 @@ class TestOneSubparser:
         # the spellings of the bench and the README take the plain reader
         plain = cli._plain_args(list(argv))
         assert plain is not None
-        assert vars(plain) == vars(cli._build_parser(argv[0]).parse_args(argv))
+        assert vars(plain) == vars(cli._build_parser().parse_args(argv))
 
     @pytest.mark.parametrize(
         "argv, parsers",
         [
-            (("char", "--rank", "2"), 2),
-            (("--help",), 8),
-            (("char", "--rank", "2", "--weight", "1,1"), 0),
+            # the first id is from when a usage error built only 2 parsers
+            pytest.param(("char", "--rank", "2"), 8, id="argv0-2"),
+            pytest.param(("--help",), 8, id="argv1-8"),
+            pytest.param(("char", "--rank", "2", "--weight", "1,1"), 0, id="argv2-0"),
         ],
     )
     def test_parsers_built(self, argv, parsers):
-        # none for a plain call; the top parser and the named subparser for a
-        # usage error; help builds them all
+        # none for a plain call; the top parser and all seven subparsers for
+        # a usage error or help
         probe = textwrap.dedent("""
             import argparse, sys
             built = []

@@ -154,7 +154,7 @@ def test_plain_reader_agrees_with_argparse(argv):
         io.StringIO()
     ):
         try:
-            parsed = vars(cli._build_parser(argv[0]).parse_args(argv))
+            parsed = vars(cli._build_parser().parse_args(argv))
         except SystemExit:
             parsed = None
     plain = cli._plain_args(argv)
