@@ -26,8 +26,9 @@ dim W(row), leaves no carry between the w-byte slots. qalg owns the slots:
 _packed_binomial builds each q-binomial weight at q = 256^w by the Pascal
 rule on the packed ints, so building a character calls no q_binomial and
 builds no QPoly binomial, and _unsigned_coeffs unpacks values to QPoly at
-each character build and at each step of the peel; every API, result and
-character cache holds QPoly.
+each character build; every API, result and character cache holds QPoly.
+The peel of decompose_weyl_basis unpacks no memo value: it keeps its
+remainder packed as well (see there).
 
 Every character the paper handles is symmetric, and so is every
 GradedCharacter: its dominant terms, a Z[q]-combination of monomial
@@ -73,7 +74,9 @@ from .gtpop import (
 )
 from .qalg import (
     QPoly,
+    _byte_width,
     _packed_binomial,
+    _reslot,
     _signed_coeffs,
     _signed_value,
     _slot_width,
@@ -534,8 +537,8 @@ def _branches(row):
         yield upper, size - sum(upper), binomials
 
 
-def _row_width(row):
-    """Slot width in bytes for P_row: the byte length of dim W(row).
+def _row_dim(row):
+    """dim W(row), which bounds every coefficient of P_row.
 
     No coefficient of P_row exceeds dim W(row) (see _row_dominant_terms).
     A row whose interlacing ranges are longer than a C index raises
@@ -545,8 +548,12 @@ def _row_width(row):
     if row[0] - row[-1] > sys.maxsize:
         raise OverflowError("row %r is too wide to enumerate" % (row,))
     # the weight of row, whose bounding row it is up to determinant columns
-    dim = pop_count(Weight(len(row) - 1, map(operator.sub, row, row[1:])))
-    return (dim.bit_length() + 7) // 8
+    return pop_count(Weight(len(row) - 1, map(operator.sub, row, row[1:])))
+
+
+def _row_width(row):
+    """Slot width in bytes for P_row: the byte length of dim W(row)."""
+    return (_row_dim(row).bit_length() + 7) // 8
 
 
 def _unpack(value, width):
@@ -559,17 +566,19 @@ def _row_dominant_terms(row, width):
     """{weakly decreasing exponent tuple: coefficient at q = 256^width} of P_row.
 
     The one branching memo: every character and every peel leader reads
-    it, and _unpack turns a value back into its QPoly. key + (last,) is
+    it. A character build turns each value back into its QPoly by _unpack;
+    the peel moves each value to its own q by qalg._reslot. key + (last,) is
     weakly decreasing exactly when key is and key[-1] >= last, so the
     dominant terms of P_row come from the dominant terms of each P_upper
     alone. Every upper row is visited: the dominant keys of P_upper can end
     above upper[-1].
 
     Evaluation at an integer is a ring map, so psi products and sums are
-    int * and +, and each value is exact. It unpacks to its QPoly when
-    every coefficient is below 256^width, and with width >= _row_width(row)
-    it is: every coefficient of P_row is a nonnegative polynomial whose
-    value at q = 1 is at most dim W(row), the sum of all of them at q = 1.
+    int * and +, and each value is exact. It unpacks to its QPoly, or moves
+    to wider slots, when every coefficient is below 256^width, and with
+    width >= _row_width(row) it is: every coefficient of P_row is a
+    nonnegative polynomial whose value at q = 1 is at most dim W(row), the
+    sum of all of them at q = 1.
     """
     if len(row) == 1:
         return {row: 1}
@@ -829,38 +838,62 @@ def decompose_weyl_basis(f):
 
     The remainder is kept on dominant keys only: the remainder of a
     symmetric input stays symmetric, so its dominant coefficients determine
-    it. Each step unpacks the leader's dominant terms straight from the
-    row memo, so no leader's full character is built or cached. The
-    remainder starts as a copy: the dominant terms a character carries may
-    be a cached character's own.
+    it. Each value is its Z[q] coefficient evaluated exactly at
+    q = 2^(8w), packed once (qalg._signed_value). A step reads the leader's
+    dominant terms straight from the row memo, moves each to the same q by
+    its bytes (qalg._reslot), and subtracts it times the leader's value as
+    one int multiply and subtract. Evaluation is a ring map, so every value
+    stays exact, and no leader's full character is built or cached. The
+    memo is read at one width for all leaders, the widest _row_width of the
+    leaders so far, so the leaders share their sub-rows; a product of Weyl
+    characters has its widest leader first.
 
-    Every leader is unpacked at one slot width, so the leaders share the
-    memo: the first leader's, widened when a later leader needs more. A
-    product of Weyl characters never widens, as dim W(mu) grows along the
-    dominance order and its first leader dominates the rest, but an
-    arbitrary symmetric input need not be ordered that way.
+    A running bound B keeps the values readable. The remainder is always
+    f - sum of c_nu P_nu over the leaders so far, and the coefficients of
+    each coefficient of P_nu are nonnegative and add up to at most
+    dim W(nu), so no coefficient of the remainder exceeds
+    B = max |coefficient of f| + sum of max |coefficient of c_nu| dim W(nu).
+    With 2^(8w - 1) > B the leader's coefficient reads back exactly
+    (qalg._signed_coeffs), and a value of 0 means the key cancelled. The
+    peel starts one byte above max |coefficient of f| + N(f); a step whose
+    new B does not fit re-slots every value at the least width that fits
+    before it subtracts.
     """
     if not isinstance(f, GradedCharacter):
         raise TypeError("decompose_weyl_basis expects a GradedCharacter")
-    remainder = dict(f._dominant)
+    dominant = f._dominant
     n = f.n
     out = []
+    if not dominant:
+        return out
+    bound = max(max(map(abs, p.coeffs)) for p in dominant.values())
+    width = _byte_width(256 * (bound + _abs_total(dominant)))
+    remainder = {k: _signed_value(p.coeffs, width) for k, p in dominant.items()}
+    memo_width = 0
     seen = set()
-    width = 0
     while remainder:
         key = max(remainder)
         if key in seen:
             raise DecompositionError("peel revisited a leading term")
         seen.add(key)
-        coeff = remainder[key]
-        out.append((partition_to_weight(Partition(key), n), coeff))
-        width = max(width, _row_width(key))
-        neg = -coeff
-        _accumulate(
-            remainder,
-            (
-                (k, _unpack(v, width) * neg)
-                for k, v in _row_dominant_terms(key, width).items()
-            ),
-        )
+        coeffs = _signed_coeffs(remainder[key], width)
+        out.append((partition_to_weight(Partition(key), n), _wrap(coeffs)))
+        bound += max(map(abs, coeffs)) * _row_dim(key)
+        memo_width = max(memo_width, _row_width(key))
+        if _byte_width(bound) > width:
+            wider = _byte_width(bound)
+            remainder = {
+                k: _signed_value(_signed_coeffs(v, width), wider)
+                for k, v in remainder.items()
+            }
+            width = wider
+        scale = remainder[key]
+        get = remainder.get
+        # P_key has coefficient 1 at key, so the leader's own value cancels
+        for k, v in _row_dominant_terms(key, memo_width).items():
+            v = get(k, 0) - _reslot(v, memo_width, width) * scale
+            if v:
+                remainder[k] = v
+            else:
+                del remainder[k]
     return out

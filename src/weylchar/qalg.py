@@ -20,7 +20,9 @@ and a machine-integer array is byteswapped on a big-endian host. This module
 is the only one that turns packed values into bytes or shifts them by slots.
 The row memo of charformulas takes its q-binomial weights from
 _packed_binomial, which runs the Pascal rule on the values at q = 256^width
-themselves, and reads its slots back by _unsigned_coeffs.
+themselves, and reads its slots back by _unsigned_coeffs. The peel of
+decompose_weyl_basis keeps signed values at q = 2^(8w), w from _byte_width,
+and moves each memo value to its w by _reslot, byte for byte.
 """
 
 from __future__ import annotations
@@ -55,9 +57,22 @@ _SIGNED_TYPECODES = {array(t).itemsize: t for t in "bhiq"}
 _ARRAY_WIDTHS = sorted(_SIGNED_TYPECODES)
 
 
+def _byte_width(bound):
+    """The least whole number of bytes w with 2^(8w - 1) > bound >= 0.
+
+    A signed slot of w bytes holds every integer of absolute value <= bound:
+    the extra bit is room for the sign.
+    """
+    return bound.bit_length() // 8 + 1
+
+
 def _slot_width(bound):
-    """Bytes per slot to hold any integer of absolute value <= bound."""
-    need = bound.bit_length() // 8 + 1  # leaves room for the sign bit
+    """Bytes per slot to hold any integer of absolute value <= bound.
+
+    _byte_width rounded up to a machine-integer size where there is one, so
+    the slots move through an array.
+    """
+    need = _byte_width(bound)
     for width in _ARRAY_WIDTHS:
         if width >= need:
             return width
@@ -92,17 +107,32 @@ def _from_slots(data, width):
     )
 
 
+def _spread(value, width, wider):
+    """Little-endian bytes of value >= 0, each width-byte slot widened to wider.
+
+    The added bytes are zero and are the high bytes of each wider slot, so
+    a slot's nonnegative integer is unchanged.
+    """
+    count = -(-value.bit_length() // (8 * width))
+    data = value.to_bytes(count * width, "little")
+    if wider == width:
+        return data
+    out = bytearray(count * wider)
+    for j in range(width):
+        out[j::wider] = data[j::width]
+    return out
+
+
 def _unsigned_coeffs(value, width):
     """The nonnegative integers in the width-byte slots of value >= 0.
 
     Slots are padded to the next power-of-two width and read as one array
     when that is a machine-integer size; wider slots are read one by one.
     """
-    count = -(-value.bit_length() // (8 * width))
-    data = value.to_bytes(count * width, "little")
     size = 1 << (width - 1).bit_length()
     typecode = _SIGNED_TYPECODES.get(size)
     if typecode is None:
+        data = _spread(value, width, width)
         from_bytes = int.from_bytes
         return tuple(
             [
@@ -110,16 +140,21 @@ def _unsigned_coeffs(value, width):
                 for i in range(0, len(data), width)
             ]
         )
-    if size != width:
-        padded = bytearray(count * size)
-        # the zero bytes are the high bytes of each padded slot
-        for j in range(width):
-            padded[j::size] = data[j::width]
-        data = padded
-    slots = array(typecode.upper(), data)
+    slots = array(typecode.upper(), _spread(value, width, size))
     if _BYTESWAP:
         slots.byteswap()
     return tuple(slots)
+
+
+def _reslot(value, width, wider):
+    """The value at q = 256^wider of the polynomial that value >= 0 is at 256^width.
+
+    Every coefficient must be nonnegative and below 256^width, wider >= width.
+    The slots are moved as bytes: no coefficient is read as an integer.
+    """
+    if wider == width:
+        return value
+    return int.from_bytes(_spread(value, width, wider), "little")
 
 
 @functools.cache

@@ -1457,7 +1457,10 @@ class TestRowDominantTerms:
     @pytest.mark.parametrize("pair", LIBRARY_PAIRS, ids=str)
     def test_library_pair_leaders(self, pair):
         # the leaders of a bench product, at their own width and at the
-        # first leader's width that the peel uses for all of them
+        # first leader's, the widest: the peel reads the row memo at the
+        # widest leader width so far and moves each value to the width of
+        # its running bound, which is at least that, since the bound grows
+        # by dim W(mu) or more at each leader mu
         a, b = (qwhittaker_char(Weight(len(c), c)) for c in pair)
         n = a.n
         steps = reference_peel(a * b)
@@ -1473,8 +1476,11 @@ class TestRowDominantTerms:
 
     def test_peel_widens_for_a_later_leader(self):
         # det^13 packs in 1-byte slots, and P_(12,0,0) has coefficients up
-        # to 1,968 and needs 3-byte slots: a peel that kept the first
-        # leader's width would unpack a spurious remainder
+        # to 1,968 and needs 3-byte slots: the peel reads the row memo at the
+        # widest leader width so far, so the second leader widens it, and a
+        # memo read at 1 byte would carry between slots. The remainder is
+        # sized by the running bound instead, which starts one byte above
+        # N(f) = 1 + dim W(12, 0) and so needs no widening here
         assert _row_width((13, 13, 13)) == 1 and _row_width((12, 0, 0)) == 3
         f = qwhittaker_partition_char((13, 13, 13), 2) + qwhittaker_partition_char(
             (12, 0, 0), 2
@@ -1483,6 +1489,57 @@ class TestRowDominantTerms:
             (Weight(2, (0, 0)), QPoly.one()),
             (Weight(2, (12, 0)), QPoly.one()),
         ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_peel_matches_reference_with_wide_coefficients(self, data):
+        # f = sum of c_i P_row_i with signed c_i whose coefficients reach
+        # +-2^80, so the remainder packs slots wider than any machine
+        # integer; the peel must take the reference's leaders step by step
+        n = data.draw(st.integers(1, 3))
+        rows = [row for row in GRID_ROWS if len(row) == n + 1]
+        coeff = st.integers(-3, 3) | st.integers(-(2**80), 2**80)
+        f = GradedCharacter.zero(n)
+        for _ in range(data.draw(st.integers(1, 3))):
+            row = data.draw(st.sampled_from(rows))
+            poly = QPoly(enumerate(data.draw(st.lists(coeff, min_size=1, max_size=4))))
+            f = f + qwhittaker_partition_char(row, n) * poly
+        assert decompose_weyl_basis(f) == [
+            (partition_to_weight(Partition(key), n), c) for key, c in reference_peel(f)
+        ]
+
+    @pytest.mark.parametrize(
+        "key,widenings",
+        [
+            ((12, 0, 0), 1),
+            ((8, 4, 0), 0),
+            ((24, 0, 0), 2),
+            ((30, 0, 0), 1),
+            ((40, 0), 1),
+        ],
+        ids=str,
+    )
+    def test_monomial_orbit_widens_the_remainder(self, monkeypatch, key, widenings):
+        # m_key has N(f) = its orbit size, so its remainder starts in 2-byte
+        # slots, but its expansion in the P basis grows: for all but
+        # m_(8,4,0) the running bound passes 2^15 and the peel re-slots the
+        # remainder. m_(30,0,0) and m_(40) have coefficients of 18 and 20
+        # bits, which 2-byte slots would read wrongly
+        widths = []
+
+        def spy(coeffs, width):
+            if not widths or widths[-1] != width:
+                widths.append(width)
+            return qalg._signed_value(coeffs, width)
+
+        n = len(key) - 1
+        f = orbit_sum(n, key)
+        expected = [
+            (partition_to_weight(Partition(k), n), c) for k, c in reference_peel(f)
+        ]
+        monkeypatch.setattr(charformulas, "_signed_value", spy)
+        assert decompose_weyl_basis(f) == expected
+        assert widths[0] == 2 and len(widths) == widenings + 1, widths
 
     def test_character_builds_no_q_binomial(self):
         # the row memo's weights come from qalg._packed_binomial, the Pascal

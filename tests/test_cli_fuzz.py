@@ -19,9 +19,17 @@ import itertools
 import json
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from weylchar import GradedCharacter, QPoly, Weight, cli, qwhittaker_char
+from weylchar import (
+    GradedCharacter,
+    QPoly,
+    Weight,
+    cli,
+    decompose_weyl_basis,
+    qwhittaker_char,
+)
 from weylchar.charformulas import TENSOR_VARIANTS
 
 JUNK = st.sampled_from(["", "x", "1,,2", "1.5", " 2", "-"])
@@ -176,13 +184,27 @@ JSON_VALUES = st.recursive(
     max_leaves=12,
 )
 # near-valid characters: small ranks, exponents and coefficients, so that most
-# payloads reach the symmetry check or the peel
+# payloads reach the symmetry check or the peel. A second band reaches beyond
+# +-2**64, so the peel packs slots wider than any machine integer
+WIDE = st.integers(2**64, 2**80) | st.integers(-(2**80), -(2**64))
 TERM = st.fixed_dictionaries(
     {
         "exponents": st.lists(st.integers(-1, 3), max_size=4),
-        "coefficient": st.lists(st.integers(-2, 2), max_size=3),
+        "coefficient": st.lists(st.integers(-2, 2), max_size=3)
+        | st.lists(st.integers(-2, 2) | WIDE, max_size=3),
     }
 )
+def _orbit_sum_json(key, coefficient):
+    """Character JSON of coefficient times the orbit sum of a dominant key."""
+    return {
+        "rank": len(key) - 1,
+        "terms": [
+            {"exponents": list(perm), "coefficient": coefficient}
+            for perm in sorted(set(itertools.permutations(key)))
+        ],
+    }
+
+
 CHARACTERS = st.fixed_dictionaries(
     {"rank": st.integers(-1, 3), "terms": st.lists(TERM, max_size=4)}
 )
@@ -195,10 +217,36 @@ CHARACTERS = st.fixed_dictionaries(
 )
 @example("[" * 100000, "plain")
 @example('{"rank": 1, "terms": ' + "[" * 100000, "plain")
+@example(json.dumps(_orbit_sum_json((40, 0), [1])), "plain")
+@example(json.dumps(_orbit_sum_json((40, 0), [2**70, 0, -(2**70)])), "json")
+@example(json.dumps(_orbit_sum_json((8, 4, 0), [-(2**80), 3])), "csv")
 def test_any_decompose_input_keeps_the_exit_code_contract(payload, fmt):
     code, out, err = _run(["decompose", "--format", fmt], stdin=payload)
     if code == 2:
         assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "key,coefficient",
+    [((40, 0), [1]), ((40, 0), [2**70, 0, -(2**70)]), ((8, 4, 0), [-(2**80), 3])],
+    ids=["m40", "m40-wide", "m840-wide"],
+)
+def test_wide_decompose_prints_the_library_peel(key, coefficient):
+    # coefficients beyond 2**64, and m_(40) whose peel widens its remainder
+    payload = _orbit_sum_json(key, coefficient)
+    code, out, err = _run(["decompose", "--format", "json"], stdin=json.dumps(payload))
+    assert (code, err) == (0, "")
+    ch = GradedCharacter(
+        payload["rank"],
+        [
+            (term["exponents"], QPoly(enumerate(term["coefficient"])))
+            for term in payload["terms"]
+        ],
+    )
+    assert json.loads(out)["components"] == [
+        {"weight": list(w.coeffs), "coefficient": p.coefficient_list()}
+        for w, p in decompose_weyl_basis(ch)
+    ]
 
 
 # keys and strings with quotes, backslashes, control and non-ASCII characters

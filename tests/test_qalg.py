@@ -18,7 +18,9 @@ from weylchar import (
 from weylchar import charformulas, qalg
 from weylchar.filtration import verify_tensor_fundamental
 from weylchar.qalg import (
+    _byte_width,
     _packed_binomial,
+    _reslot,
     _signed_coeffs,
     _signed_value,
     _trim,
@@ -214,6 +216,29 @@ class TestDenseArithmetic:
         coeffs = data.draw(st.lists(entries, max_size=12))
         value = horner_value(coeffs, width)
         assert _unsigned_coeffs(value, width) == _trim(coeffs)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 4), st.data())
+    def test_reslot_is_the_value_at_a_wider_q(self, width, extra, data):
+        # empty and full slots anywhere, moved to slots up to 4 bytes wider
+        top = 256**width - 1
+        entries = st.sampled_from((0, 1, top)) | st.integers(0, top)
+        coeffs = data.draw(st.lists(entries, max_size=12))
+        value = horner_value(coeffs, width)
+        assert _reslot(value, width, width + extra) == horner_value(
+            coeffs, width + extra
+        )
+
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_byte_width_is_the_least_signed_slot(self, width):
+        # 2^(8w - 1) - 1 is the largest |c| a signed slot of w bytes holds
+        top = 2 ** (8 * width - 1)
+        assert _byte_width(top - 1) == width
+        assert _byte_width(top) == width + 1
+        assert _signed_coeffs(_signed_value([top - 1, 1 - top], width), width) == (
+            top - 1,
+            1 - top,
+        )
 
     def test_packed_binomial_matches_horner(self):
         # every coefficient of [n r]_q is at most C(n, r), so the byte
