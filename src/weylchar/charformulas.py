@@ -48,9 +48,9 @@ dominant keys. The coefficients are packed like the row memo's, but signed,
 at q = 2^(8w) with 2^(8w - 1) above N(a) * M(b), N(f) the sum of
 |coefficient| over every term of f and M(f) the largest sum of
 |coefficient| over one term (see _symmetric_product). The closed-form sums
-(_homogeneous_sum) are packed the same way: each scalar and each dominant
-coefficient of each summand once, int * and + per dominant term, and one
-unpack per key of the sum.
+(_homogeneous_sum), scalar multiples among them, are packed the same way:
+each scalar and each dominant coefficient of each summand once, int * and
++ per dominant term, and one unpack per key of the sum.
 """
 
 from __future__ import annotations
@@ -163,29 +163,21 @@ class GradedCharacter(_Value):
     def __sub__(self, other):
         if not isinstance(other, GradedCharacter):
             return NotImplemented
-        self._check_rank(other)
-        negated = ((k, -p) for k, p in other._dominant.items())
-        return _from_dominant(self.n, _accumulate(dict(self._dominant), negated))
+        # not a _homogeneous_sum, which would twist both to one degree
+        return self + -other
 
     def __neg__(self):
-        return _from_dominant(self.n, {k: -p for k, p in self._dominant.items()})
+        return self * -1
 
     def __mul__(self, other):
         """Product with a character, an int or a QPoly.
 
-        A product of characters is built on the dominant cone: one walk of
-        the smaller orbit per pair of dominant keys, on coefficients packed
-        as integers (see _symmetric_product).
+        A scalar multiple is a one-term _homogeneous_sum. A product of
+        characters walks the smaller orbit once per pair of dominant keys,
+        on coefficients packed as integers (see _symmetric_product).
         """
         if isinstance(other, (int, QPoly)):
-            if isinstance(other, int):
-                other = QPoly.const(other)
-            if other.is_zero():
-                return _from_dominant(self.n, {})
-            # Z[q] has no zero divisors, so no product coefficient vanishes
-            return _from_dominant(
-                self.n, {k: p * other for k, p in self._dominant.items()}
-            )
+            return _homogeneous_sum(self.n, ((self, other),))
         if not isinstance(other, GradedCharacter):
             return NotImplemented
         self._check_rank(other)
@@ -228,8 +220,7 @@ class GradedCharacter(_Value):
     __hash__ = None  # equality reads the dominant terms dict
 
     def __repr__(self):
-        size = sum(map(_orbit_size, self._dominant))
-        return "GradedCharacter(%d, %d terms)" % (self.n, size)
+        return "GradedCharacter(%d, %d terms)" % (self.n, _term_count(self))
 
     def to_json(self):
         return {
@@ -318,6 +309,11 @@ def _orbit_size(key):
     return size
 
 
+def _term_count(ch):
+    """The number of terms of a character, each orbit counted, none listed."""
+    return sum(map(_orbit_size, ch._dominant))
+
+
 def _from_dominant(n, dominant):
     """The character with these dominant terms: every operation's result.
 
@@ -392,8 +388,9 @@ def _abs_max(dominant):
 def _homogeneous_sum(n, terms):
     """Sum of coeff * ch over (ch, coeff) pairs of symmetric characters.
 
-    Each term's dominant terms are det-twisted up to the total degree of
-    the first nonzero term, scaled and added.
+    Each term is twisted by det_twist up to the total degree of the first
+    key of the first nonzero term, then scaled and added; a one-term sum
+    is the scalar multiple coeff * ch, whatever degrees ch mixes.
     ArithmeticError when a gap is not a nonnegative multiple of n+1,
     TypeError for a coefficient that is neither int nor QPoly.
 
@@ -431,14 +428,12 @@ def _homogeneous_sum(n, terms):
                 "coefficients must be int or QPoly, not %s" % type(coeff).__name__
             )
         bound += _abs_max(dominant) * sum(map(abs, coeffs))
-        collected.append((dominant, coeffs, shift))
+        collected.append((ch.det_twist(shift)._dominant, coeffs))
     width = _slot_width(bound)
     packed = {}
-    for dominant, coeffs, shift in collected:
+    for dominant, coeffs in collected:
         scale = _signed_value(coeffs, width)
         for key, p in dominant.items():
-            if shift:
-                key = tuple([e + shift for e in key])
             value = _signed_value(p.coeffs, width) * scale
             acc = packed.get(key)
             packed[key] = value if acc is None else acc + value
@@ -834,7 +829,9 @@ def decompose_weyl_basis(f):
     Greedy peel: repeatedly take the lexicographically greatest exponent key
     with weakly decreasing entries (the dominant leader), emit its sl-weight
     and coefficient, and subtract that multiple of the corresponding
-    character. Leaders strictly decrease, so the peel terminates.
+    character. P_nu is 1 at nu and has every other dominant key below nu, so
+    leaders strictly decrease and the peel terminates; a leader that is not
+    below the previous one raises DecompositionError.
 
     The remainder is kept on dominant keys only: the remainder of a
     symmetric input stays symmetric, so its dominant coefficients determine
@@ -870,12 +867,12 @@ def decompose_weyl_basis(f):
     width = _byte_width(256 * (bound + _abs_total(dominant)))
     remainder = {k: _signed_value(p.coeffs, width) for k, p in dominant.items()}
     memo_width = 0
-    seen = set()
+    previous = None
     while remainder:
         key = max(remainder)
-        if key in seen:
-            raise DecompositionError("peel revisited a leading term")
-        seen.add(key)
+        if previous is not None and key >= previous:
+            raise DecompositionError("peel leader %r not below %r" % (key, previous))
+        previous = key
         coeffs = _signed_coeffs(remainder[key], width)
         out.append((partition_to_weight(Partition(key), n), _wrap(coeffs)))
         bound += max(map(abs, coeffs)) * _row_dim(key)

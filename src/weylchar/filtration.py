@@ -23,8 +23,8 @@ import operator
 from .charformulas import (
     _homogeneous_sum,
     _m_module_edges,
-    _orbit_size,
     _tensor_product,
+    _term_count,
     m_module_char,
     truncated_char,
     tensor_char_fundamental,
@@ -46,6 +46,7 @@ class VerificationReport(_Value):
     """Outcome of one identity check: status is 'pass', 'fail' or 'skip'."""
 
     __slots__ = ("name", "params", "status", "detail")
+    __hash__ = None  # equality reads the params and detail dicts
 
     def __init__(self, name, params, status, detail=None):
         _Value.__init__(self, name, params, status, {} if detail is None else detail)
@@ -117,8 +118,7 @@ def _verify_filtration(name, params, family):
 def _check_product(name, params, variant, closed):
     """Pass when closed is the brute product of variant's factors at params."""
     product = _tensor_product(variant, params["m"], params["k"], params["rank"])
-    terms = sum(map(_orbit_size, closed._dominant))
-    return _report(name, params, product == closed, {"terms": terms})
+    return _report(name, params, product == closed, {"terms": _term_count(closed)})
 
 
 def truncated_dim_check(lam, j):
@@ -147,6 +147,7 @@ class FiltrationLayer(_Value):
     """
 
     __slots__ = ("family", "index", "params", "multiplicity", "shift_bound")
+    __hash__ = None  # equality reads the params dict
 
     def __init__(self, family, index, params, multiplicity, shift_bound):
         _Value.__init__(self, family, index, params, multiplicity, shift_bound)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import functools
+import io
 import itertools
+import json
 import math
 import operator
 import os
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylchar import (
+    DecompositionError,
     GradedCharacter,
     Partition,
     QPoly,
@@ -37,7 +40,7 @@ from weylchar import (
     truncated_char,
     weight_to_bounding_partition,
 )
-from weylchar import charformulas, gtpop, qalg
+from weylchar import charformulas, cli, gtpop, qalg
 from weylchar.charformulas import (
     _homogeneous_sum,
     _orbit,
@@ -351,7 +354,14 @@ class TestOperationsOnDominantTerms:
         keys = st.lists(st.integers(0, 2), min_size=n + 1, max_size=n + 1).map(
             lambda parts: tuple(sorted(parts, reverse=True))
         )
-        polys = st.dictionaries(st.integers(0, 2), st.integers(-3, 3), max_size=3)
+        # a second band reaches beyond +-2**64, so the packed sums behind
+        # *, unary - and - run on slots wider than any machine integer
+        wide = st.integers(2**64, 2**70) | st.integers(-(2**70), -(2**64))
+        small = st.integers(-3, 3)
+        polys = st.one_of(
+            st.dictionaries(st.integers(0, 2), band, max_size=3)
+            for band in (small, small | wide)
+        )
 
         def draw_plain():
             # orbit sums of a few dominant keys, possibly none
@@ -368,15 +378,21 @@ class TestOperationsOnDominantTerms:
             return ch + GradedCharacter.zero(n) if data.draw(st.booleans()) else ch
 
         a = draw_plain()
-        how = data.draw(st.sampled_from(("drawn", "negated", "same", "zero")))
+        how = data.draw(
+            st.sampled_from(("drawn", "negated", "same", "twisted", "zero"))
+        )
         if how == "drawn":
             b = draw_plain()
         elif how == "negated":
             # a + b cancels to zero
             b = plain_scale(a, {0: -1})
+        elif how == "twisted":
+            # b is a det_twist of a: a sum of the two twisted to one degree
+            # would cancel in cb - ca
+            b = {tuple(e + 1 for e in k): p for k, p in a.items()}
         else:
             b = dict(a) if how == "same" else {}
-        scalar = data.draw(st.one_of(st.integers(-3, 3), polys.map(QPoly)))
+        scalar = data.draw(st.one_of(small, wide, polys.map(QPoly)))
         if isinstance(scalar, int):
             plain_scalar = {0: scalar}
         else:
@@ -387,6 +403,7 @@ class TestOperationsOnDominantTerms:
         results = [
             (ca + cb, plain_sum([*a.items(), *b.items()])),
             (ca - cb, plain_sum([*a.items(), *plain_scale(b, {0: -1}).items()])),
+            (cb - ca, plain_sum([*b.items(), *plain_scale(a, {0: -1}).items()])),
             (-ca, plain_scale(a, {0: -1})),
             (ca * scalar, plain_scale(a, plain_scalar)),
             (scalar * ca, plain_scale(a, plain_scalar)),
@@ -403,6 +420,10 @@ class TestOperationsOnDominantTerms:
             assert isinstance(result.terms, MappingProxyType)
         degrees = {sum(k) for k in a}
         assert ca.total_degree() == (degrees.pop() if len(degrees) == 1 else None)
+        # - twists neither side: a difference keeps both total degrees
+        da, db = ca.total_degree(), cb.total_degree()
+        if None not in (da, db) and da != db:
+            assert {sum(k) for k in (ca - cb).terms} == {da, db}
         assert ca.q1_dimension() == sum(sum(p.values()) for p in a.values())
         assert (ca == cb) is (a == b)
         assert (cb == ca) is (a == b)
@@ -1293,6 +1314,30 @@ class TestDecompose:
         before = _partition_char_cached.cache_info().currsize
         assert len(decompose_weyl_basis(product)) > 1
         assert _partition_char_cached.cache_info().currsize == before
+
+    @pytest.mark.parametrize("extra", [(4, 0, 0), (3, 0, 0)])
+    def test_leader_above_the_previous_one_raises(self, extra, monkeypatch, capsys):
+        # a faulty memo entry for the leader (2, 1, 0) adds a key above it.
+        # (4, 0, 0) is peeled once and never revisited, which a set of seen
+        # leaders misses; (3, 0, 0) leads back to (2, 1, 0). Leaders must
+        # strictly decrease, so the next leader raises in both cases
+        f = qwhittaker_char(Weight(2, (1, 1)))
+        memo = charformulas._row_dominant_terms
+
+        def faulty(row, width):
+            terms = memo(row, width)
+            # a copy: the memo's own entry stays as it is
+            return {**terms, extra: 1} if row == (2, 1, 0) else terms
+
+        monkeypatch.setattr(charformulas, "_row_dominant_terms", faulty)
+        with pytest.raises(DecompositionError):
+            decompose_weyl_basis(f)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(f.to_json())))
+        assert cli.run(["decompose"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())

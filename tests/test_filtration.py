@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from collections.abc import Hashable
 
 import pytest
 
@@ -150,10 +151,13 @@ class TestValues:
         )
 
     def test_dict_fields_are_unhashable(self):
-        with pytest.raises(TypeError):
-            hash(VerificationReport("x", {}, "pass"))
-        with pytest.raises(TypeError):
-            hash(FiltrationLayer("truncated", 0, {}, QPoly.one(), 0))
+        report = VerificationReport("x", {}, "pass")
+        layer = FiltrationLayer("truncated", 0, {}, QPoly.one(), 0)
+        for value in (report, layer):
+            with pytest.raises(TypeError):
+                hash(value)
+            # and they do not claim otherwise
+            assert not isinstance(value, Hashable)
 
 
 class TestVerificationReport:
