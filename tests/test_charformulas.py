@@ -868,6 +868,32 @@ class TestQWhittaker:
         assert qwhittaker_char(lam).specialize_q0() == irr
         assert irr.q1_dimension() == weyl_dimension(lam)
 
+    def test_multiplicities_fall_along_dominance(self):
+        # at q = 1 a dominant key d below e (each partial sum of d at most
+        # that of e) has at least e's multiplicity; a peel bound read off
+        # the flattest key would rest on this. Every dominant weight at
+        # ranks 1-4 with coefficient sum <= 8, 5, 3 and 2, and three larger
+        weights = [
+            Weight(n, coeffs)
+            for n, budget in ((1, 8), (2, 5), (3, 3), (4, 2))
+            for coeffs in itertools.product(range(budget + 1), repeat=n)
+            if sum(coeffs) <= budget
+        ] + [Weight(3, (3, 3, 3)), Weight(4, (2, 2, 2, 2)), Weight(2, (12, 12))]
+        assert len(weights) == 68
+        pairs = 0
+        for lam in weights:
+            mult = {
+                key: p.at_one()
+                for key, p in qwhittaker_char(lam).terms.items()
+                if list(key) == sorted(key, reverse=True)
+            }
+            sums = {key: list(itertools.accumulate(key)) for key in mult}
+            for d, e in itertools.permutations(mult, 2):
+                if all(a <= b for a, b in zip(sums[d], sums[e])):
+                    pairs += 1
+                    assert mult[d] >= mult[e], (lam, d, e)
+        assert pairs == 4737
+
 
 class TestPieri:
     def test_empty_mu(self):
