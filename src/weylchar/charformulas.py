@@ -11,10 +11,14 @@ ed., Ch. VI §7): strip the last variable, sum over the interlacing rows one
 shorter with per-row q-binomial weights, and memoise on row tuples. The
 row memo keeps only weakly decreasing keys: P_lam is symmetric, so its
 other terms permute these, and the peel of decompose_weyl_basis reads its
-leaders from the same memo. pop_char and irreducible_char keep their own
-GT-pattern enumeration, so the POP route stays an independent check of the
-branching route; pop_char multiplies, per pattern, one series per cell of
-that cell's enumerated overlays.
+leaders from the same memo. A dominant key of P_upper ends at most at the
+mean of upper, and the balanced partition of |upper| ends at its integer
+part, so only the interlacing rows whose stripped exponent is at most the
+mean of the row can add a dominant key, and only those are walked.
+pop_char and irreducible_char keep their own GT-pattern enumeration, so
+the POP route stays an independent check of the branching route; pop_char
+multiplies, per pattern, one series per cell of that cell's enumerated
+overlays.
 
 The row memo holds each coefficient as one int, its value at q = 256^w: the
 Kronecker substitution of QPoly multiplication (D. Harvey, "Faster
@@ -514,22 +518,34 @@ def _orbit(key):
 
 
 def _branches(row):
-    """(upper, last, binomials) for each row `upper` one shorter interlacing `row`.
+    """(upper, last, binomials) for each row `upper` one shorter interlacing
+    `row` through which P_row gains a dominant key.
 
     last = |row| - |upper| is the exponent of the stripped variable, and
     binomials lists the (n, r) of each Gaussian binomial [n r]_q in
     psi_{row/upper}(q) that is not 1; it is empty when psi is 1.
+
+    A dominant key of P_upper lies below upper in dominance, so its last
+    part is at most |upper| // (len(row) - 1), and the balanced partition
+    of |upper| into len(row) - 1 parts is a key that reaches it. So a key
+    of P_upper ending at last or above exists exactly when
+    last * len(row) <= |row|, and only those uppers are yielded: the rest
+    add nothing to the dominant terms of P_row.
     """
     size = sum(row)
+    floor = size - size // len(row)
     pairs = list(zip(row, row[1:]))
     # interlacing forces row_{k+1} <= upper_k <= row_k, so every upper row
     # drawn from these ranges is already weakly decreasing
     for upper in itertools.product(*(range(lo, hi + 1) for hi, lo in pairs)):
+        rest = sum(upper)
+        if rest < floor:
+            continue
         # the binomial is 1 at either end of its range
         binomials = [
             (hi - lo, hi - u) for (hi, lo), u in zip(pairs, upper) if lo < u < hi
         ]
-        yield upper, size - sum(upper), binomials
+        yield upper, size - rest, binomials
 
 
 def _row_dim(row):
@@ -565,8 +581,10 @@ def _row_dominant_terms(row, width):
     the peel moves each value to its own q by qalg._reslot. key + (last,) is
     weakly decreasing exactly when key is and key[-1] >= last, so the
     dominant terms of P_row come from the dominant terms of each P_upper
-    alone. Every upper row is visited: the dominant keys of P_upper can end
-    above upper[-1].
+    alone. The dominant keys of P_upper can end above upper[-1], but none
+    ends above |upper| // len(upper), so only the uppers with
+    last * len(row) <= |row| are visited (see _branches): the sub-rows
+    that only the others reach are never built.
 
     Evaluation at an integer is a ring map, so psi products and sums are
     int * and +, and each value is exact. It unpacks to its QPoly, or moves

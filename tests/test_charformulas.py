@@ -42,6 +42,7 @@ from weylchar import (
 )
 from weylchar import charformulas, cli, gtpop, qalg
 from weylchar.charformulas import (
+    _branches,
     _homogeneous_sum,
     _orbit,
     _orbit_size,
@@ -1464,6 +1465,23 @@ def unpacked_row(row, width):
     return {k: _unpack(v, width) for k, v in _row_dominant_terms(row, width).items()}
 
 
+def fresh_build_memo_size(coeffs, memo):
+    """What a fresh process prints for the size of charformulas.<memo> after
+    one qwhittaker_char of the weight with these coefficients."""
+    probe = (
+        "from weylchar import Weight, charformulas; "
+        "charformulas.qwhittaker_char(Weight(%d, %r)); "
+        "print(charformulas.%s.cache_info().currsize)" % (len(coeffs), coeffs, memo)
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
 def reference_peel(f):
     """(leader key, coefficient) of each step of the peel of f over reference rows."""
     remainder = {k: p for k, p in f.terms.items() if is_dominant(k)}
@@ -1502,6 +1520,38 @@ class TestRowDominantTerms:
             assert unpacked_row(row, width) == reference_row_terms(row), row
             # a wider slot holds the same coefficients
             assert unpacked_row(row, width + 1) == reference_row_terms(row), row
+
+    def test_branches_are_the_contributing_ones(self):
+        # _branches yields an upper row exactly when P_upper has a dominant
+        # key ending at last or above, i.e. when the branch adds a key to
+        # P_row; the reference walks every interlacing row
+        rows = [row for row in GRID_ROWS + ladder_rows() + TIGHT_ROWS if len(row) > 1]
+        assert len(rows) == 156
+        for row in rows:
+            size = sum(row)
+            pairs = list(zip(row, row[1:]))
+            contributing = {
+                upper
+                for upper in itertools.product(
+                    *(range(lo, hi + 1) for hi, lo in pairs)
+                )
+                if any(
+                    key[-1] >= size - sum(upper)
+                    for key in reference_row_terms(upper)
+                )
+            }
+            assert {upper for upper, _, _ in _branches(row)} == contributing, row
+        # 169 interlacing rows, 78 of which add no dominant key
+        assert len(list(_branches((24, 12, 0)))) == 91
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_rows_match_reference(self, data):
+        # parts up to 8 and a last part that need not be 0, beyond the grids
+        n = data.draw(st.integers(1, 3))
+        parts = data.draw(st.lists(st.integers(0, 8), min_size=n + 1, max_size=n + 1))
+        row = tuple(sorted(parts, reverse=True))
+        assert unpacked_row(row, _row_width(row)) == reference_row_terms(row)
 
     def test_wide_slots(self):
         # slots of 7 and 8 bytes, and wider than any machine integer
@@ -1615,18 +1665,15 @@ class TestRowDominantTerms:
     def test_character_builds_no_q_binomial(self):
         # the row memo's weights come from qalg._packed_binomial, the Pascal
         # rule on packed ints, so a fresh build leaves q_binomial's memo empty
-        probe = (
-            "from weylchar import Weight, q_binomial, qwhittaker_char; "
-            "qwhittaker_char(Weight(2, (12, 12))); "
-            "print(q_binomial.cache_info().currsize)"
-        )
-        src = pathlib.Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        out = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, env=env
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout == "0\n"
+        assert fresh_build_memo_size((12, 12), "q_binomial") == "0\n"
+
+    @pytest.mark.parametrize(
+        "coeffs,rows", [((12, 12), 105), ((4, 2, 4), 77), ((2, 1, 1, 2), 65)], ids=str
+    )
+    def test_character_build_memoises_contributing_rows_only(self, coeffs, rows):
+        # a fresh build memoises only the sub-rows a contributing branch
+        # reaches; visiting every interlacing row memoises 195, 133 and 106
+        assert fresh_build_memo_size(coeffs, "_row_dominant_terms") == "%d\n" % rows
 
     def test_oversized_row_overflows_before_the_width(self, monkeypatch):
         # pop_count would raise 3 to this power and never finish
