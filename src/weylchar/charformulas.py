@@ -14,7 +14,10 @@ other terms permute these, and the peel of decompose_weyl_basis reads its
 leaders from the same memo. A dominant key of P_upper ends at most at the
 mean of upper, and the balanced partition of |upper| ends at its integer
 part, so only the interlacing rows whose stripped exponent is at most the
-mean of the row can add a dominant key, and only those are walked.
+mean of the row can add a dominant key, and only those are walked. The
+recursion ends at two-part rows in closed form: P_(a,b) is the sum of the
+q-binomials [a-b j]_q x_1^(a-j) x_2^(b+j), so each value of a two-part row
+is the cached packed binomial itself, shared with every row that reads it.
 pop_char and irreducible_char keep their own GT-pattern enumeration, so
 the POP route stays an independent check of the branching route; pop_char
 multiplies, per pattern, one series per cell of that cell's enumerated
@@ -476,7 +479,10 @@ def qwhittaker_partition_char(p, n):
     gl-weight monomial times the per-cell Gaussian binomials [a+b choose a]_q
     of the POP overlay bounds. The recursion keeps the dominant terms only,
     the rest following by symmetry, and is memoised on row tuples and slot
-    width, so characters whose patterns share sub-rows share that work.
+    width, so characters whose patterns share sub-rows share that work. It
+    ends at two-part rows, whose last branching step is the closed form
+    P_(a,b) = sum over j of [a-b j]_q x_1^(a-j) x_2^(b+j); their values are
+    the binomial cache's own ints, not copies.
     Adding a full column to the bottom row twists by the determinant and
     leaves every psi unchanged.
     """
@@ -509,11 +515,14 @@ def _orbit(key):
     """
     if len(key) < 2:
         return (key,)
+    # a list feeds tuple() faster than a generator, which resumes per item
     return tuple(
-        (lead,) + perm
-        for i, lead in enumerate(key)
-        if not i or key[i - 1] != lead
-        for perm in _orbit(key[:i] + key[i + 1:])
+        [
+            (lead,) + perm
+            for i, lead in enumerate(key)
+            if not i or key[i - 1] != lead
+            for perm in _orbit(key[:i] + key[i + 1:])
+        ]
     )
 
 
@@ -522,7 +531,7 @@ def _branches(row):
     `row` through which P_row gains a dominant key.
 
     last = |row| - |upper| is the exponent of the stripped variable, and
-    binomials lists the (n, r) of each Gaussian binomial [n r]_q in
+    binomials holds the (n, r) of each Gaussian binomial [n r]_q in
     psi_{row/upper}(q) that is not 1; it is empty when psi is 1.
 
     A dominant key of P_upper lies below upper in dominance, so its last
@@ -534,18 +543,19 @@ def _branches(row):
     """
     size = sum(row)
     floor = size - size // len(row)
-    pairs = list(zip(row, row[1:]))
+    *head_pairs, (top, bottom) = zip(row, row[1:])
     # interlacing forces row_{k+1} <= upper_k <= row_k, so every upper row
-    # drawn from these ranges is already weakly decreasing
-    for upper in itertools.product(*(range(lo, hi + 1) for hi, lo in pairs)):
-        rest = sum(upper)
-        if rest < floor:
-            continue
+    # drawn from these ranges is already weakly decreasing; the last range
+    # starts where sum(upper) reaches floor, so every upper drawn is yielded
+    for head in itertools.product(*(range(lo, hi + 1) for hi, lo in head_pairs)):
+        rest = sum(head)
         # the binomial is 1 at either end of its range
-        binomials = [
-            (hi - lo, hi - u) for (hi, lo), u in zip(pairs, upper) if lo < u < hi
-        ]
-        yield upper, size - rest, binomials
+        binomials = tuple(
+            (hi - lo, hi - u) for (hi, lo), u in zip(head_pairs, head) if lo < u < hi
+        )
+        for u in range(max(bottom, floor - rest), top + 1):
+            last_binomial = ((top - bottom, top - u),) if bottom < u < top else ()
+            yield head + (u,), size - rest - u, binomials + last_binomial
 
 
 def _row_dim(row):
@@ -586,6 +596,13 @@ def _row_dominant_terms(row, width):
     last * len(row) <= |row| are visited (see _branches): the sub-rows
     that only the others reach are never built.
 
+    The recursion ends at two-part rows, in closed form: the last branching
+    step gives P_(a,b) = sum over 0 <= j <= a-b of [a-b j]_q x_1^(a-j)
+    x_2^(b+j), whose dominant keys are (a-j, b+j) for 2j <= a-b (Macdonald,
+    Ch. VI §7). Each of their values is the _packed_binomial int itself,
+    shared with the binomial cache rather than copied, so at rank 2, where
+    nearly every memo row has two parts, the memo holds each weight once.
+
     Evaluation at an integer is a ring map, so psi products and sums are
     int * and +, and each value is exact. It unpacks to its QPoly, or moves
     to wider slots, when every coefficient is below 256^width, and with
@@ -593,8 +610,13 @@ def _row_dominant_terms(row, width):
     nonnegative polynomial whose value at q = 1 is at most dim W(row), the
     sum of all of them at q = 1.
     """
-    if len(row) == 1:
-        return {row: 1}
+    # every row has two parts or more (rank >= 1); two parts end the recursion
+    if len(row) == 2:
+        a, b = row
+        return {
+            (a - j, b + j): _packed_binomial(a - b, j, width)
+            for j in range((a - b) // 2 + 1)
+        }
     data = {}
     for upper, last, binomials in _branches(row):
         psi = None

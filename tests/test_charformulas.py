@@ -1563,6 +1563,30 @@ class TestRowDominantTerms:
             assert _row_width(row) == 9
             assert unpacked_row(row, 9) == reference_row_terms(row), row
 
+    def test_two_part_rows_match_reference(self):
+        # two-part rows end the recursion in closed form; at 1-byte slots a
+        # value that spilled into the next slot would read back wrongly
+        rows = [(a, b) for a in range(13) for b in range(a + 1)]
+        assert len(rows) == 91
+        for row in rows:
+            expected = reference_row_terms(row)
+            for width in sorted({_row_width(row), 1, 9}):
+                assert unpacked_row(row, width) == expected, (row, width)
+
+    def test_two_part_values_are_the_cached_binomials(self):
+        # each value of a two-part row is the q-binomial of the binomial
+        # cache itself, not a copy, also inside a three-part build
+        build = _row_width((24, 12, 0))
+        assert build == 5
+        _row_dominant_terms((24, 12, 0), build)
+        cases = [((24, 12), build), ((20, 4), build), ((40, 0), 9), ((7, 7), 3)]
+        for row, width in cases:
+            a, b = row
+            terms = _row_dominant_terms(row, width)
+            assert len(terms) == (a - b) // 2 + 1
+            for j in range((a - b) // 2 + 1):
+                assert terms[(a - j, b + j)] is qalg._packed_binomial(a - b, j, width)
+
     def test_width_bounds_every_coefficient(self):
         for row in GRID_ROWS + ladder_rows() + TIGHT_ROWS:
             coeffs = [c for p in reference_row_terms(row).values() for c in p.coeffs]
@@ -1668,11 +1692,13 @@ class TestRowDominantTerms:
         assert fresh_build_memo_size((12, 12), "q_binomial") == "0\n"
 
     @pytest.mark.parametrize(
-        "coeffs,rows", [((12, 12), 105), ((4, 2, 4), 77), ((2, 1, 1, 2), 65)], ids=str
+        "coeffs,rows", [((12, 12), 92), ((4, 2, 4), 71), ((2, 1, 1, 2), 61)], ids=str
     )
     def test_character_build_memoises_contributing_rows_only(self, coeffs, rows):
         # a fresh build memoises only the sub-rows a contributing branch
-        # reaches; visiting every interlacing row memoises 195, 133 and 106
+        # reaches, down to the two-part rows, which are closed forms and
+        # branch no further; visiting every interlacing row down to two
+        # parts would memoise 170, 122 and 99
         assert fresh_build_memo_size(coeffs, "_row_dominant_terms") == "%d\n" % rows
 
     def test_oversized_row_overflows_before_the_width(self, monkeypatch):
