@@ -687,26 +687,19 @@ def irreducible_char(lam):
 
 
 def _horizontal_strips(mu_padded, m):
-    """Rows lam >= mu with lam/mu a horizontal strip of m boxes.
+    """Rows lam with lam/mu a horizontal m-strip, in descending lexicographic order.
 
-    lam_i ranges over [mu_i, mu_{i-1}] for i >= 2 and [mu_1, mu_1 + m] for
-    i = 1; yielded in descending lexicographic order.
+    mu_i <= lam_i <= min(mu_i + m, mu_{i-1}), with no bound mu_0 on lam_1.
     """
-
-    def rec(i, remaining):
-        if i == len(mu_padded):
-            if remaining == 0:
-                yield ()
-            return
-        low = mu_padded[i]
-        high = min(
-            low + remaining, mu_padded[i - 1] if i else mu_padded[0] + remaining
-        )
-        for v in range(high, low - 1, -1):
-            for rest in rec(i + 1, remaining - (v - low)):
-                yield (v,) + rest
-
-    yield from rec(0, m)
+    size = sum(mu_padded) + m
+    # no part gains more than m boxes; descending ranges give descending heads
+    *heads, last_range = [
+        range(min(high, low + m), low - 1, -1)
+        for low, high in zip(mu_padded, (size,) + mu_padded[:-1])
+    ]
+    for head in itertools.product(*heads):
+        if size - sum(head) in last_range:
+            yield head + (size - sum(head),)
 
 
 def product_onerow(m, mu, rank):

@@ -52,7 +52,7 @@ def _trim(coeffs):
 
 
 # Signed machine-integer array typecodes by size in bytes, used to move whole
-# coefficient tuples in and out of byte strings at C speed.
+# coefficient tuples in and out of byte strings at C speed; upper case is unsigned.
 _SIGNED_TYPECODES = {array(t).itemsize: t for t in "bhiq"}
 _ARRAY_WIDTHS = sorted(_SIGNED_TYPECODES)
 
@@ -90,18 +90,18 @@ def _to_slots(coeffs, width):
     return b"".join([c.to_bytes(width, "little", signed=True) for c in coeffs])
 
 
-def _from_slots(data, width):
-    """Inverse of _to_slots: the signed integers in consecutive slots."""
+def _from_slots(data, width, signed=True):
+    """Inverse of _to_slots: the integers in consecutive slots, signed or not."""
     typecode = _SIGNED_TYPECODES.get(width)
     if typecode:
-        slots = array(typecode, data)
+        slots = array(typecode if signed else typecode.upper(), data)
         if _BYTESWAP:
             slots.byteswap()
         return tuple(slots)
     from_bytes = int.from_bytes
     return tuple(
         [
-            from_bytes(data[i : i + width], "little", signed=True)
+            from_bytes(data[i : i + width], "little", signed=signed)
             for i in range(0, len(data), width)
         ]
     )
@@ -129,21 +129,9 @@ def _unsigned_coeffs(value, width):
     Slots are padded to the next power-of-two width and read as one array
     when that is a machine-integer size; wider slots are read one by one.
     """
-    size = 1 << (width - 1).bit_length()
-    typecode = _SIGNED_TYPECODES.get(size)
-    if typecode is None:
-        data = _spread(value, width, width)
-        from_bytes = int.from_bytes
-        return tuple(
-            [
-                from_bytes(data[i : i + width], "little")
-                for i in range(0, len(data), width)
-            ]
-        )
-    slots = array(typecode.upper(), _spread(value, width, size))
-    if _BYTESWAP:
-        slots.byteswap()
-    return tuple(slots)
+    power = 1 << (width - 1).bit_length()
+    size = power if power in _SIGNED_TYPECODES else width
+    return _from_slots(_spread(value, width, size), size, signed=False)
 
 
 def _reslot(value, width, wider):

@@ -918,8 +918,19 @@ class TestPieri:
         }
 
     def test_strip_order_descending(self):
-        lams = [lam.padded(3) for lam, _ in product_onerow(2, Partition((2, 1)), 2)]
-        assert lams == sorted(lams, reverse=True)
+        # every lam with lam/mu a horizontal m-strip has mu_i <= lam_i <=
+        # mu_i + m, so that box holds them all; keep those that interlace
+        for rank, m in itertools.product(range(1, 5), range(5)):
+            for mu in itertools.combinations_with_replacement(range(4, -1, -1), rank + 1):
+                box = itertools.product(*(range(p, p + m + 1) for p in mu))
+                strips = [
+                    lam
+                    for lam in box
+                    if sum(lam) == sum(mu) + m
+                    and all(a >= b for a, b in zip(mu, lam[1:]))
+                ]
+                got = [lam.padded(rank + 1) for lam, _ in product_onerow(m, mu, rank)]
+                assert got == sorted(strips, reverse=True), (rank, mu, m)
 
     def test_rectangle_coefficients(self):
         # mu = (k,...,k,0): coefficient of the i-th corner shape is
