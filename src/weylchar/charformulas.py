@@ -732,7 +732,23 @@ def product_onerow(m, mu, rank):
     return out
 
 
-TENSOR_VARIANTS = ("omega1_omegan", "omega1_omega1", "omegan_omegan")
+# the fundamental indices (a, b), a <= b, of each tensor variant's factors at
+# rank n; M-module variants and filtration families name a variant here
+_PAIRS = {
+    "omega1_omegan": lambda n: (1, n),
+    "omega1_omega1": lambda n: (1, 1),
+    "omegan_omegan": lambda n: (n, n),
+}
+TENSOR_VARIANTS = tuple(_PAIRS)
+# each M-module variant: the tensor variant of the square its layers filter
+_M_MODULE_VARIANTS = {"first": "omega1_omega1", "last": "omegan_omegan"}
+
+
+def _lookup(table, variant):
+    """table[variant]; ValueError for a variant, hashable or not, that it lacks."""
+    if variant not in tuple(table):
+        raise ValueError("unknown variant %r" % (variant,))
+    return table[variant]
 
 
 def _tensor_edges(variant, rank):
@@ -740,13 +756,7 @@ def _tensor_edges(variant, rank):
     rank = operator.index(rank)
     if rank < 1:
         raise ValueError("rank must be a positive integer")
-    if variant == "omega1_omegan":
-        return 1, rank
-    if variant == "omega1_omega1":
-        return 1, 1
-    if variant == "omegan_omegan":
-        return rank, rank
-    raise ValueError("unknown variant %r" % (variant,))
+    return _lookup(_PAIRS, variant)(rank)
 
 
 def tensor_factors(variant, m, k, rank):
@@ -755,26 +765,28 @@ def tensor_factors(variant, m, k, rank):
     return m * Weight.fundamental(rank, a), k * Weight.fundamental(rank, b)
 
 
+def _pair_weights(variant, m, k, rank):
+    """omega_a, m*omega_a + k*omega_b and alpha_ab for a tensor variant's factors."""
+    a, b = _tensor_edges(variant, rank)
+    first, second = tensor_factors(variant, m, k, rank)
+    return Weight.fundamental(rank, a), first + second, root_weight(Root(a, b), rank)
+
+
 def _tensor_product(variant, m, k, rank):
     """The brute product of the graded Weyl characters of a variant's factors."""
     a, b = tensor_factors(variant, m, k, rank)
     return qwhittaker_char(a) * qwhittaker_char(b)
 
 
-def _root_string_sum(lam, beta, coeffs):
-    """Sum over i of coeffs[i] * ch W(lam - i*beta), det-twisted to one degree."""
-    return _homogeneous_sum(
-        lam.n,
-        ((qwhittaker_char(lam - i * beta), c) for i, c in enumerate(coeffs)),
-    )
+def _layer(top, beta, j, e):
+    """(top - i*beta, (-1)^i [j i]_q q^{i*e - i(i-1)/2}) for i = 0..j: one layer."""
+    powers = [QPoly({i * e - i * (i - 1) // 2: (-1) ** i}) for i in range(j + 1)]
+    return [(top - i * beta, q_binomial(j, i) * p) for i, p in enumerate(powers)]
 
 
-def _alternating_coeffs(j, e):
-    """(-1)^i [j i]_q q^{i*e - i(i-1)/2} for i = 0..j."""
-    return [
-        q_binomial(j, i) * QPoly({i * e - i * (i - 1) // 2: (-1) ** i})
-        for i in range(j + 1)
-    ]
+def _weyl_sum(n, pairs):
+    """Sum of c * ch W(w) over the (w, c) pairs, det-twisted to one degree."""
+    return _homogeneous_sum(n, ((qwhittaker_char(w), c) for w, c in pairs))
 
 
 def tensor_char_fundamental(variant, m, k, rank):
@@ -789,15 +801,15 @@ def tensor_char_fundamental(variant, m, k, rank):
     each term det-twisted so all monomials share the total degree of the
     product. At rank 1 every alpha_{ab} is 2*omega_1.
     """
-    a, b = _tensor_edges(variant, rank)
+    _tensor_edges(variant, rank)  # rank and variant errors come first
     if m < 0 or k < 0:
         raise ValueError("module parameters must be nonnegative")
-    first, second = tensor_factors(variant, m, k, rank)
-    coeffs = [
-        q_binomial(m, i) * q_binomial(k, i) * q_pochhammer(i)
+    _, top, beta = _pair_weights(variant, m, k, rank)
+    pairs = [
+        (top - i * beta, q_binomial(m, i) * q_binomial(k, i) * q_pochhammer(i))
         for i in range(min(m, k) + 1)
     ]
-    return _root_string_sum(first + second, root_weight(Root(a, b), rank), coeffs)
+    return _weyl_sum(rank, pairs)
 
 
 def truncated_char(lam, j):
@@ -819,17 +831,7 @@ def truncated_char(lam, j):
     if not 0 <= j <= min(a, b):
         raise ValueError("truncation parameter j must lie in [0, min(a, b)]")
     theta = root_weight(Root.highest(n), n)
-    return _root_string_sum(lam, theta, _alternating_coeffs(j, a + b - j))
-
-
-_M_MODULE_VARIANTS = ("first", "last")
-
-
-def _m_module_edges(variant, n):
-    """(e, e'): the fundamental index of an M-module variant and its neighbour."""
-    if variant not in _M_MODULE_VARIANTS:
-        raise ValueError("unknown variant %r" % (variant,))
-    return (1, 2) if variant == "first" else (n, n - 1)
+    return _weyl_sum(n, _layer(lam, theta, j, a + b - j))
 
 
 def m_module_char(nu, lam_scale, variant):
@@ -842,18 +844,19 @@ def m_module_char(nu, lam_scale, variant):
     nu + lam - i*alpha_e, det-twisted to keep a single total degree.
     """
     n = nu.n
-    e, neighbour = _m_module_edges(variant, n)
+    e, _ = _tensor_edges(_lookup(_M_MODULE_VARIANTS, variant), n)
     if n < 2:
         raise RankMismatchError("M(nu, lam) characters require rank >= 2")
     if lam_scale < 0:
         raise ValueError("lam_scale must be nonnegative")
     if not nu.is_dominant():
         raise ValueError("nu must be dominant")
-    if any(c and idx not in (e, neighbour) for idx, c in enumerate(nu.coeffs, 1)):
+    # alpha_e = 2 omega_e - omega_e': its support is omega_e and its neighbour
+    alpha = root_weight(Root.simple(e), n)
+    if any(c and not s for c, s in zip(nu.coeffs, alpha.coeffs)):
         raise ValueError("nu must be supported on the %s two fundamentals" % variant)
     lam = nu + 2 * lam_scale * Weight.fundamental(n, e)
-    coeffs = _alternating_coeffs(lam_scale, lam_scale + nu.coeffs[e - 1])
-    return _root_string_sum(lam, root_weight(Root.simple(e), n), coeffs)
+    return _weyl_sum(n, _layer(lam, alpha, lam_scale, lam_scale + nu.coeffs[e - 1]))
 
 
 def decompose_weyl_basis(f):

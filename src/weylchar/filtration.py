@@ -21,24 +21,23 @@ import itertools
 import operator
 
 from .charformulas import (
+    _M_MODULE_VARIANTS,
     _homogeneous_sum,
-    _m_module_edges,
+    _lookup,
+    _pair_weights,
     _tensor_product,
     _term_count,
     m_module_char,
     truncated_char,
     tensor_char_fundamental,
-    tensor_factors,
 )
 from .qalg import q_binomial
 from .weights import Partition, RankMismatchError, Root, Weight, _Value, pairing
 
-# each filtration family: the tensor_factors variant of the product it
-# filters, and the m_module_char variant of its layers (None: truncated)
-_FAMILIES = {
-    "truncated": ("omega1_omegan", None),
-    "m_module_first": ("omega1_omega1", "first"),
-    "m_module_last": ("omegan_omegan", "last"),
+# each filtration family: the tensor variant of the product it filters, and
+# the m_module_char variant of its layers (None: truncated modules)
+_FAMILIES = {"truncated": ("omega1_omegan", None)} | {
+    "m_module_" + v: (square, v) for v, square in _M_MODULE_VARIANTS.items()
 }
 
 
@@ -82,9 +81,7 @@ def verify_tensor_fundamental(variant, m, k, rank):
 def verify_truncated_product(m, k, rank):
     """W(m*omega_1) tensor W(k*omega_n) filters by truncated modules.
 
-    ch of the product equals the sum over i = 0..min(m,k) of
-    [min(m,k) i]_q times the truncated character of (m-i) omega_1 +
-    (k-i) omega_n at truncation level max(m,k)-i.
+    ch of the product is the sum of extract_filtration's "truncated" layers.
     """
     params = {"m": m, "k": k, "rank": rank}
     return _verify_filtration("truncated-product", params, "truncated")
@@ -93,10 +90,10 @@ def verify_truncated_product(m, k, rank):
 def verify_m_module_product(variant, m, k, rank):
     """Tensor square of a fundamental-line Weyl module filters by M modules.
 
-    variant "first": ch W(m*omega_1) ch W(k*omega_1) equals the sum over
-    i = 0..min(m,k) of [min(m,k) i]_q ch M((M-L) omega_1 + i omega_2,
-    2(L-i) omega_1); "last" is the omega_n mirror.
+    variant "first" squares along omega_1, "last" along omega_n; ch of the
+    product is the sum of extract_filtration's "m_module_<variant>" layers.
     """
+    _lookup(_M_MODULE_VARIANTS, variant)  # before a family name is built from it
     params = {"variant": variant, "m": m, "k": k, "rank": rank}
     return _verify_filtration("m-module-product", params, "m_module_" + variant)
 
@@ -180,14 +177,14 @@ def extract_filtration(m, k, family, rank=2):
     """Layer data of the filtration of a two-line tensor product.
 
     All families need rank n >= 2 and m, k >= 0; the weights are listed in
-    full, n coefficients each.
-    family "truncated": W(m*omega_1) tensor W(k*omega_n), layer r is the
-    truncated module W_{max(m,k)-r} at (m-r) omega_1 + (k-r) omega_n;
-    family "m_module_first"/"m_module_last": W(m*omega_e) tensor W(k*omega_e)
-    for e = 1 resp. n, layer r the module M((M-L) omega_e + r omega_e',
-    2(L-r) omega_e) with e' the adjacent fundamental. Each layer carries
-    multiplicity polynomial [min(m,k) r]_q, and its grade shifts are bounded
-    by (min(m,k)-r)*r, the degree of that polynomial.
+    full, n coefficients each. Family "truncated" filters W(m*omega_1)
+    tensor W(k*omega_n), "m_module_first"/"m_module_last" W(m*omega_e)
+    tensor W(k*omega_e) for e = 1 resp. n. With omega_a, omega_b the two
+    factors' fundamentals, layer r tops at m*omega_a + k*omega_b -
+    r*alpha_ab: it is the truncated module W_{max(m,k)-r} at that weight, or
+    M(nu, 2(L-r) omega_e) with nu that weight less 2(L-r) omega_e,
+    L = min(m,k). Each layer carries multiplicity polynomial [L r]_q, and
+    its grade shifts are bounded by (L-r)*r, that degree.
     """
     if family not in _FAMILIES:
         raise ValueError("unknown filtration family %r" % (family,))
@@ -197,17 +194,16 @@ def extract_filtration(m, k, family, rank=2):
     if m < 0 or k < 0:
         raise ValueError("module parameters must be nonnegative")
     tensor, variant = _FAMILIES[family]
+    omega, lam, beta = _pair_weights(tensor, m, k, rank)
     big, small = max(m, k), min(m, k)
     layers = []
     for r in range(small + 1):
+        top = lam - r * beta
         if variant is None:
-            a, b = tensor_factors(tensor, m - r, k - r, rank)
-            params = {"weight": list((a + b).coeffs), "truncation": big - r}
+            params = {"weight": list(top.coeffs), "truncation": big - r}
         else:
-            e, neighbour = _m_module_edges(variant, rank)
-            nu = [0] * rank
-            nu[e - 1], nu[neighbour - 1] = big - small, r
-            params = {"nu": nu, "lam_scale": small - r}
+            nu = top - 2 * (small - r) * omega
+            params = {"nu": list(nu.coeffs), "lam_scale": small - r}
         layers.append(
             FiltrationLayer(family, r, params, q_binomial(small, r), (small - r) * r)
         )

@@ -491,6 +491,26 @@ class TestPlumbing:
         out = run_cli("frobnicate")
         assert out.returncode == 2
 
+    @pytest.mark.parametrize(
+        "argv", [("frobnicate",), ("char", "--rank", "1", "--weight", "1", "extra")],
+        ids=" ".join,
+    )
+    def test_usage_error_leads_with_the_usage_line(self, argv, capsys):
+        # an unknown command and a trailing extra argument: argparse's message
+        # after the full usage line of the top parser
+        assert cli.run(list(argv)) == 2
+        assert capsys.readouterr().err.splitlines()[0] == (
+            "usage: weylchar [-h] {char,dim,pops,pieri,tensor,decompose,verify} ..."
+        )
+
+    def test_help_names_every_command(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli.run(["--help"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name in COMMANDS:
+            assert any(line.startswith("    %s " % name) for line in lines), name
+            assert cli.run([name, "--help"]) == 0
+
     def test_no_args_shows_usage(self):
         out = run_cli()
         assert out.returncode == 2
@@ -749,6 +769,7 @@ def test_all_csv_bytes_pinned():
 # outputs larger than the golden ones above, one per JSON payload shape
 CANONICAL_ARGS = {
     "char": ("char", "--rank", "2", "--weight", "6,6"),
+    "char-rank-4": ("char", "--rank", "4", "--weight", "2,1,1,2"),
     "tensor": (
         "tensor", "--variant", "omega1_omegan", "--m", "3", "--k", "3", "--rank", "3",
     ),

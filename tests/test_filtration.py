@@ -180,7 +180,7 @@ class TestVerificationReport:
 class TestIdentityChecks:
     @pytest.mark.parametrize("variant", ["omega1_omegan", "omega1_omega1", "omegan_omegan"])
     def test_tensor_fundamental(self, variant):
-        for rank in (2, 3):
+        for rank in (2, 3, 4):
             for m, k in itertools.product(range(3), repeat=2):
                 assert verify_tensor_fundamental(variant, m, k, rank).passed
 
@@ -190,13 +190,14 @@ class TestIdentityChecks:
                 assert verify_truncated_product(m, k, rank).passed
 
     @pytest.mark.parametrize("variant", ["first", "last"])
-    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("rank", [2, 3, 4])
     def test_m_module_product(self, variant, rank):
         for m, k in itertools.product(range(3), repeat=2):
             assert verify_m_module_product(variant, m, k, rank).passed
 
     def test_m_module_bad_variant(self):
-        with pytest.raises(ValueError):
+        # the variant's own name, not the family name built from it
+        with pytest.raises(ValueError, match="^unknown variant 'middle'$"):
             verify_m_module_product("middle", 1, 1, 2)
 
     def test_truncated_dim_check(self):
