@@ -32,32 +32,39 @@ coefficients adding up to at most dim W(row), so w, the byte length of
 dim W(row), leaves no carry between the w-byte slots. qalg owns the slots:
 _packed_binomial builds each q-binomial weight at q = 256^w by the Pascal
 rule on the packed ints, so building a character calls no q_binomial and
-builds no QPoly binomial, and _unsigned_coeffs unpacks values to QPoly at
-each character build; every API, result and character cache holds QPoly.
-The peel of decompose_weyl_basis unpacks no memo value: it keeps its
-remainder packed as well (see there).
+builds no QPoly binomial.
 
 Every character the paper handles is symmetric, and so is every
 GradedCharacter: its dominant terms, a Z[q]-combination of monomial
 symmetric functions (Macdonald, Ch. I §2), determine it, and they are all
-it stores. The constructor runs _dominant_terms, the one symmetry test and
-split, and refuses anything else; _from_dominant is the one way back.
+it stores, packed the same way: each coefficient is one signed int, its
+value at q = 2^(8w) (qalg._signed_value), with w from qalg._packed_width,
+8 bytes unless a coefficient may reach 2^63. QPoly is the API edge only:
+the constructor packs its input once (_pack), after _dominant_terms, the
+one symmetry test and split, has refused anything that is not symmetric;
+_from_dominant is the one way back from packed values; `terms` and
+`_dominant` unpack on each read. A character built from the row memo
+takes the memo's ints moved to its own w by qalg._reslot, and shares them
+when the widths agree. Each character also carries N(f), the sum of
+|coefficient| over every term, orbits counted in full, and M(f), the
+largest sum of |coefficient| over one term; for results they are upper
+bounds, which only choose widths.
+
 Every operation, from + and det_twist to products, the closed-form sums
-and the peel, maps dominant terms, and two characters are equal exactly
-when their dominant terms are. Orbits are counted by _orbit_size and
-listed by _orbit only where they are walked: by the `terms` view, which
-output reads, and by the product walk.
+and the peel, maps the packed dominant terms as ints: a det twist shifts
+keys, and two characters are equal exactly when their dominant terms are,
+compared as ints at a common width (qalg._reslot_signed). Orbits are
+counted by _orbit_size and listed by _orbit only where they are walked: by
+the `terms` view, which output reads, and by the product walk.
 
 A product of two characters is a sum of products m_d * m_e of
 monomial symmetric functions, m_d the orbit sum of a dominant key d, whose
 structure constants come from one walk of the smaller orbit per pair of
-dominant keys. The coefficients are packed like the row memo's, but signed,
-at q = 2^(8w) with 2^(8w - 1) above N(a) * M(b), N(f) the sum of
-|coefficient| over every term of f and M(f) the largest sum of
-|coefficient| over one term (see _symmetric_product). The closed-form sums
-(_homogeneous_sum), scalar multiples among them, are packed the same way:
-each scalar and each dominant coefficient of each summand once, int * and
-+ per dominant term, and one unpack per key of the sum.
+dominant keys, as int * and + on the packed values (see
+_symmetric_product). The closed-form sums (_homogeneous_sum), scalar
+multiples among them, pack each scalar once and add int products per
+dominant term. pop_char multiplies its per-cell series as packed ints as
+well, at the width of pop_count(lam), without the row memo or its binomials.
 """
 
 from __future__ import annotations
@@ -67,7 +74,6 @@ import itertools
 import math
 import operator
 import sys
-from collections import Counter
 from collections.abc import Mapping
 from types import MappingProxyType
 
@@ -81,13 +87,15 @@ from .gtpop import (
 )
 from .qalg import (
     QPoly,
+    _at_one,
     _byte_width,
     _packed_binomial,
+    _packed_powers,
+    _packed_width,
     _reslot,
+    _reslot_signed,
     _signed_coeffs,
     _signed_value,
-    _slot_width,
-    _unsigned_coeffs,
     _wrap,
     q_binomial,
     q_pochhammer,
@@ -112,14 +120,16 @@ class GradedCharacter(_Value):
     """Symmetric Z[q]-combination of monomials x^e, e an (n+1)-tuple of exponents.
 
     Every character is symmetric in x_1, ..., x_{n+1}: the constructor
-    refuses any other input with ValueError. It stores only `_dominant`, a
-    read-only map of each weakly decreasing exponent tuple to its nonzero
-    QPoly; `terms`, every exponent tuple with its QPoly, is a read-only
-    view built from it on each read. Every operation maps the dominant
-    terms (_from_dominant), and equality compares them.
+    refuses any other input with ValueError. It stores only `_packed`, each
+    weakly decreasing exponent tuple with its nonzero coefficient as one
+    signed int at q = 2^(8 * _width), and the bounds _total = N(f) and
+    _top = M(f) (see the module docstring). `_dominant`, the same map with
+    QPoly coefficients, and `terms`, every exponent tuple with its QPoly,
+    are read-only views built on each read. Every operation maps the packed
+    dominant terms (_from_dominant), and equality compares them.
     """
 
-    __slots__ = ("n", "_dominant")
+    __slots__ = ("n", "_packed", "_width", "_total", "_top")
 
     def __init__(self, n, terms=None):
         n = operator.index(n)
@@ -127,11 +137,15 @@ class GradedCharacter(_Value):
             raise ValueError("rank must be a positive integer")
         items = terms.items() if isinstance(terms, Mapping) else terms or ()
         data = _accumulate({}, _checked_terms(n, items))
-        dominant = _dominant_terms(data)
-        if dominant is None:
-            raise ValueError("input is not a symmetric function")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_dominant", MappingProxyType(dominant))
+        super().__init__(n, *_pack(_dominant_terms(data)))
+
+    @property
+    def _dominant(self):
+        """Read-only {dominant key: QPoly}, unpacked on each read."""
+        width = self._width
+        return MappingProxyType(
+            {d: _wrap(_signed_coeffs(v, width)) for d, v in self._packed.items()}
+        )
 
     @property
     def terms(self):
@@ -153,7 +167,7 @@ class GradedCharacter(_Value):
         return cls(n, {(0,) * (n + 1): QPoly.one()})
 
     def is_zero(self):
-        return not self._dominant
+        return not self._packed
 
     def _check_rank(self, other):
         if self.n != other.n:
@@ -163,9 +177,12 @@ class GradedCharacter(_Value):
         if not isinstance(other, GradedCharacter):
             return NotImplemented
         self._check_rank(other)
-        return _from_dominant(
-            self.n, _accumulate(dict(self._dominant), other._dominant.items())
+        top = self._top + other._top
+        width = _packed_width(top)
+        data = _accumulate(
+            dict(_values_at(self, width)), _values_at(other, width).items()
         )
+        return _from_dominant(self.n, data, width, self._total + other._total, top)
 
     def __sub__(self, other):
         if not isinstance(other, GradedCharacter):
@@ -181,16 +198,14 @@ class GradedCharacter(_Value):
 
         A scalar multiple is a one-term _homogeneous_sum. A product of
         characters walks the smaller orbit once per pair of dominant keys,
-        on coefficients packed as integers (see _symmetric_product).
+        on the packed coefficients (see _symmetric_product).
         """
         if isinstance(other, (int, QPoly)):
             return _homogeneous_sum(self.n, ((self, other),))
         if not isinstance(other, GradedCharacter):
             return NotImplemented
         self._check_rank(other)
-        return _from_dominant(
-            self.n, _symmetric_product(self._dominant, other._dominant)
-        )
+        return _symmetric_product(self, other)
 
     __rmul__ = __mul__
 
@@ -202,27 +217,41 @@ class GradedCharacter(_Value):
         if c == 0:
             return self
         return _from_dominant(
-            self.n, {tuple(e + c for e in k): p for k, p in self._dominant.items()}
+            self.n,
+            {tuple(e + c for e in k): v for k, v in self._packed.items()},
+            self._width,
+            self._total,
+            self._top,
         )
 
     def q1_dimension(self):
-        """Total dimension: one coefficient per orbit at q = 1, times its size."""
-        return sum(_orbit_size(d) * p.at_one() for d, p in self._dominant.items())
+        """Total dimension: one coefficient per orbit at q = 1, times its size.
+
+        The packed values times their orbit sizes add up to one int whose
+        value at q = 1 is the dimension, read at a width that holds N, so
+        every sum of slots and the dimension itself fit.
+        """
+        width = _packed_width(self._total)
+        value = sum(_orbit_size(d) * v for d, v in _values_at(self, width).items())
+        return _at_one(value, width)
 
     def specialize_q0(self):
         """Set q = 0, keeping only constant terms."""
         constants = ((k, p.constant_term()) for k, p in self._dominant.items())
-        return _from_dominant(self.n, {k: QPoly.const(c) for k, c in constants if c})
+        return _from_dominant(
+            self.n, *_pack({k: QPoly.const(c) for k, c in constants if c})
+        )
 
     def total_degree(self):
         """Common exponent-sum of all monomials, or None if mixed/empty."""
-        degrees = {sum(k) for k in self._dominant}
+        degrees = {sum(k) for k in self._packed}
         return degrees.pop() if len(degrees) == 1 else None
 
     def __eq__(self, other):
         if not isinstance(other, GradedCharacter) or self.n != other.n:
             return False
-        return self._dominant == other._dominant
+        width = max(self._width, other._width)
+        return _values_at(self, width) == _values_at(other, width)
 
     __hash__ = None  # equality reads the dominant terms dict
 
@@ -241,11 +270,17 @@ class GradedCharacter(_Value):
 
 _new_object = object.__new__
 _set_n = GradedCharacter.n.__set__
-_set_dominant = GradedCharacter._dominant.__set__
+_set_packed = GradedCharacter._packed.__set__
+_set_width = GradedCharacter._width.__set__
+_set_total = GradedCharacter._total.__set__
+_set_top = GradedCharacter._top.__set__
 
 
 def _accumulate(data, items):
-    """Add (key, QPoly) pairs into data in place, dropping cancelled keys."""
+    """Add (key, coefficient) pairs into data in place, dropping cancelled keys.
+
+    The coefficients are QPoly, or packed ints of one width.
+    """
     for key, poly in items:
         acc = data.get(key)
         if acc is None:
@@ -280,22 +315,26 @@ def _checked_terms(n, items):
 
 
 def _dominant_terms(terms):
-    """{dominant key: coeff} of a symmetric term dict, None if it is not one.
+    """{dominant key: coeff} of a symmetric term dict; ValueError if it is not one.
 
     The one symmetry test: every key carries the coefficient of its sorted
     key, and the orbit sizes of the dominant keys add up to len(terms).
-    Orbits are counted, never listed.
+    Orbits are counted, never listed. Coefficients are compared with !=, so
+    QPoly and packed ints of one width both do.
     """
     dominant = {}
     size = 0
-    for key, poly in terms.items():
+    for key, coeff in terms.items():
         canon = tuple(sorted(key, reverse=True))
         if canon == key:
-            dominant[key] = poly
+            dominant[key] = coeff
             size += _orbit_size(key)
-        elif terms.get(canon) != poly:
-            return None
-    return dominant if size == len(terms) else None
+        elif terms.get(canon) != coeff:
+            break
+    else:
+        if size == len(terms):
+            return dominant
+    raise ValueError("input is not a symmetric function")
 
 
 def _orbit_size(key):
@@ -318,24 +357,62 @@ def _orbit_size(key):
 
 def _term_count(ch):
     """The number of terms of a character, each orbit counted, none listed."""
-    return sum(map(_orbit_size, ch._dominant))
+    return sum(map(_orbit_size, ch._packed))
 
 
-def _from_dominant(n, dominant):
-    """The character with these dominant terms: every operation's result.
+def _pack(dominant):
+    """(values, width, N, M) of {dominant key: nonzero QPoly}: the constructor's edge.
 
-    The character carries a read-only view of `dominant`, which must hold
-    dominant keys and nonzero coefficients only and not be written to
-    afterwards.
+    N and M are exact, and each coefficient is packed once, at the width
+    that M chooses.
+    """
+    sums = {d: sum(map(abs, p.coeffs)) for d, p in dominant.items()}
+    top = max(sums.values(), default=0)
+    width = _packed_width(top)
+    values = {d: _signed_value(p.coeffs, width) for d, p in dominant.items()}
+    return values, width, sum(_orbit_size(d) * s for d, s in sums.items()), top
+
+
+def _from_dominant(n, values, width, total, top):
+    """The character with these packed dominant terms: every operation's result.
+
+    values maps dominant keys to nonzero ints at q = 2^(8 * width), which
+    hold every coefficient; total and top bound N and M from above. The
+    character keeps values itself, which must not be written to afterwards.
     """
     ch = _new_object(GradedCharacter)
     _set_n(ch, n)
-    _set_dominant(ch, MappingProxyType(dominant))
+    _set_packed(ch, values)
+    _set_width(ch, width)
+    _set_total(ch, total)
+    _set_top(ch, top)
     return ch
 
 
+def _from_nonnegative(n, values, width, dim):
+    """_from_dominant for packed values of nonnegative coefficients adding up to dim.
+
+    dim is N, and each value's coefficients add up to its value at q = 1, so
+    M is read exactly from the values (qalg._at_one).
+    """
+    top = max((_at_one(v, width) for v in values.values()), default=0)
+    return _from_dominant(n, values, width, dim, top)
+
+
+def _values_at(ch, width):
+    """The packed dominant terms of ch at q = 2^(8 * width).
+
+    width must hold every coefficient of ch; at ch's own width they are
+    ch's values themselves.
+    """
+    if width == ch._width:
+        return ch._packed
+    old = ch._width
+    return {k: _reslot_signed(v, old, width) for k, v in ch._packed.items()}
+
+
 def _symmetric_product(a, b):
-    """Dominant terms of a product, from the dominant terms of both factors.
+    """The product of two characters, from the dominant terms of both.
 
     Write m_d for the sum of x^k over the orbit of a dominant key d; then
     m_d * m_e is the sum of c_nu m_nu over dominant nu. With d fixed, the
@@ -346,21 +423,20 @@ def _symmetric_product(a, b):
     at nu is then |orbit(nu)| times the product's coefficient, and one exact
     division per product key ends the walk.
 
-    Coefficients are packed at q = 2^(8w) (qalg._signed_value), so the walk
-    is int * and +, and each product key is unpacked once. Each monomial of
-    a meets at most one monomial of b in a given product monomial, so no
-    coefficient of the product exceeds N(a) * M(b): N(a) is the sum of
-    |coefficient| over every term of a, orbits counted in full, and M(b)
-    the largest sum of |coefficient| over one term of b. Neither does any
-    coefficient of a or b. w is the least slot width with 2^(8w - 1) above
-    that bound. A key whose value is 0 has cancelled and is dropped.
+    The walk is int * and + on the packed values. Each monomial of a meets
+    at most one monomial of b in a given product monomial, so no
+    coefficient of the product exceeds N(a) * M(b), nor M(a) * N(b), nor
+    does any sum of |coefficient| over one product term; the sum over every
+    product term is at most N(a) * N(b). The smaller of the first two
+    bounds chooses the product's width, or the wider factor's width is
+    kept, and a factor of a narrower width moves to it. A key whose value
+    is 0 has cancelled and is dropped.
     """
-    if not a or not b:
-        # an empty factor has no largest term, and its product is empty
-        return {}
-    width = _slot_width(_abs_total(a) * _abs_max(b))
+    total = a._total * b._total
+    top = min(a._total * b._top, a._top * b._total)
+    width = max(_packed_width(top), a._width, b._width)
     a_terms, b_terms = (
-        [(d, _signed_value(p.coeffs, width), _orbit_size(d)) for d, p in f.items()]
+        [(d, x, _orbit_size(d)) for d, x in _values_at(f, width).items()]
         for f in (a, b)
     )
     add = operator.add
@@ -378,18 +454,8 @@ def _symmetric_product(a, b):
     out = {}
     for key, value in product.items():
         if value:
-            out[key] = _wrap(_signed_coeffs(value // _orbit_size(key), width))
-    return out
-
-
-def _abs_total(dominant):
-    """N(f): the sum of |coefficient| over every term of a symmetric character."""
-    return sum(_orbit_size(d) * sum(map(abs, p.coeffs)) for d, p in dominant.items())
-
-
-def _abs_max(dominant):
-    """M(f): the largest sum of |coefficient| over one term of f."""
-    return max(sum(map(abs, p.coeffs)) for p in dominant.values())
+            out[key] = value // _orbit_size(key)
+    return _from_dominant(a.n, out, width, total, top)
 
 
 def _homogeneous_sum(n, terms):
@@ -401,23 +467,21 @@ def _homogeneous_sum(n, terms):
     ArithmeticError when a gap is not a nonnegative multiple of n+1,
     TypeError for a coefficient that is neither int nor QPoly.
 
-    Coefficients are packed as in _symmetric_product: each coeff and each
-    dominant coefficient of each term once, at q = 2^(8w), so the sum is
-    int * and +, and each key of the sum is unpacked once. No coefficient
-    of the sum, of a term or of a coeff exceeds the sum over terms of
-    M(ch) * S(coeff), with M(ch) the largest sum of |coefficient| over one
-    term of ch and S(coeff) the sum of |coefficient| of coeff; w is the
-    least slot width with 2^(8w - 1) above that bound. A key whose value is
-    0 has cancelled and is dropped.
+    The twist shifts the keys of the packed values, each coeff is packed
+    once, and the sum is int * and + per dominant term. No coefficient of
+    the sum, of a term or of a coeff exceeds the sum over terms of
+    M(ch) * S(coeff), S(coeff) the sum of |coefficient| of coeff, which
+    bounds M of the sum; N is bounded likewise. The width is the one that
+    bound chooses, and a term of a narrower width moves to it. A key whose
+    value is 0 has cancelled and is dropped.
     """
     collected = []
-    bound = 0
+    total = top = 0
     degree = None
     for ch, coeff in terms:
-        dominant = ch._dominant
-        if not coeff or not dominant:
+        if not coeff or not ch._packed:
             continue
-        own = sum(next(iter(dominant)))
+        own = sum(next(iter(ch._packed)))
         if degree is None:
             degree = own
         shift, rem = divmod(degree - own, n + 1)
@@ -434,23 +498,22 @@ def _homogeneous_sum(n, terms):
             raise TypeError(
                 "coefficients must be int or QPoly, not %s" % type(coeff).__name__
             )
-        bound += _abs_max(dominant) * sum(map(abs, coeffs))
-        collected.append((ch.det_twist(shift)._dominant, coeffs))
-    width = _slot_width(bound)
+        scale = sum(map(abs, coeffs))
+        total += ch._total * scale
+        top += ch._top * scale
+        collected.append((ch, shift, coeffs))
+    width = _packed_width(top)
     packed = {}
-    for dominant, coeffs in collected:
+    for ch, shift, coeffs in collected:
         scale = _signed_value(coeffs, width)
-        for key, p in dominant.items():
-            value = _signed_value(p.coeffs, width) * scale
+        for key, value in _values_at(ch, width).items():
+            if shift:
+                key = tuple(e + shift for e in key)
+            value *= scale
             acc = packed.get(key)
             packed[key] = value if acc is None else acc + value
     return _from_dominant(
-        n,
-        {
-            key: _wrap(_signed_coeffs(value, width))
-            for key, value in packed.items()
-            if value
-        },
+        n, {key: value for key, value in packed.items() if value}, width, total, top
     )
 
 
@@ -496,11 +559,20 @@ def qwhittaker_partition_char(p, n):
 
 @functools.lru_cache(maxsize=None)
 def _partition_char_cached(row):
-    """P_row at rank len(row) - 1, its dominant terms unpacked to QPoly."""
-    width = _row_width(row)
-    return _from_dominant(
+    """P_row at rank len(row) - 1, on the memo's values moved to its own width.
+
+    Every coefficient of P_row is nonnegative and at most dim W(row), which
+    chooses the width; where it is the memo's, the values are the memo's.
+    """
+    memo_width = _row_width(row)
+    dim = _row_dim(row)
+    width = _packed_width(dim)
+    values = _row_dominant_terms(row, memo_width)
+    return _from_nonnegative(
         len(row) - 1,
-        {k: _unpack(v, width) for k, v in _row_dominant_terms(row, width).items()},
+        {k: _reslot(v, memo_width, width) for k, v in values.items()},
+        width,
+        dim,
     )
 
 
@@ -577,18 +649,12 @@ def _row_width(row):
     return (_row_dim(row).bit_length() + 7) // 8
 
 
-def _unpack(value, width):
-    """The QPoly whose coefficients fill the width-byte slots of value > 0."""
-    return _wrap(_unsigned_coeffs(value, width))
-
-
 @functools.lru_cache(maxsize=None)
 def _row_dominant_terms(row, width):
     """{weakly decreasing exponent tuple: coefficient at q = 256^width} of P_row.
 
-    The one branching memo: every character and every peel leader reads
-    it. A character build turns each value back into its QPoly by _unpack;
-    the peel moves each value to its own q by qalg._reslot. key + (last,) is
+    The one branching memo: every character and every peel leader reads it,
+    and each moves the values to its own q by qalg._reslot. key + (last,) is
     weakly decreasing exactly when key is and key[-1] >= last, so the
     dominant terms of P_row come from the dominant terms of each P_upper
     alone. The dominant keys of P_upper can end above upper[-1], but none
@@ -604,8 +670,8 @@ def _row_dominant_terms(row, width):
     nearly every memo row has two parts, the memo holds each weight once.
 
     Evaluation at an integer is a ring map, so psi products and sums are
-    int * and +, and each value is exact. It unpacks to its QPoly, or moves
-    to wider slots, when every coefficient is below 256^width, and with
+    int * and +, and each value is exact. It unpacks to its coefficients, or
+    moves to wider slots, when every coefficient is below 256^width, and with
     width >= _row_width(row) it is: every coefficient of P_row is a
     nonnegative polynomial whose value at q = 1 is at most dim W(row), the
     sum of all of them at q = 1.
@@ -653,26 +719,31 @@ def pop_char(lam):
     GT pattern sum to the product over its cells of sum q^{|overlay|}. The
     overlays are still enumerated, once per (parts, bound) pair; no POP is
     built, and no binomial weight or row memo of qwhittaker_char is used.
+    Each series is packed once (qalg._packed_powers) at the width that
+    pop_count(lam) chooses: every coefficient is nonnegative and the POPs
+    number pop_count(lam), so the products and sums are int * and +. The
+    terms of every weight pass the constructor's symmetry test.
     """
     if not lam.is_dominant():
         raise ValueError("POP characters require a dominant weight")
+    dim = pop_count(lam)
+    width = _packed_width(dim)
     cell_list = cells(lam.n)
     series = {}
     data = {}
     for pattern in enumerate_gt(lam, lam.n):
-        product = QPoly.one()
+        product = 1
         for j, i in cell_list:
             bounds = cell_bounds(pattern, j, i)
             factor = series.get(bounds)
             if factor is None:
-                factor = series[bounds] = QPoly(
-                    Counter(map(sum, bounded_partitions(*bounds)))
+                factor = series[bounds] = _packed_powers(
+                    map(sum, bounded_partitions(*bounds)), width
                 )
-            product = product * factor
+            product *= factor
         key = pattern_weight(pattern)
-        acc = data.get(key)
-        data[key] = product if acc is None else acc + product
-    return GradedCharacter(lam.n, data)
+        data[key] = data.get(key, 0) + product
+    return _from_nonnegative(lam.n, _dominant_terms(data), width, dim)
 
 
 def irreducible_char(lam):
@@ -784,6 +855,16 @@ def _layer(top, beta, j, e):
     return [(top - i * beta, q_binomial(j, i) * p) for i, p in enumerate(powers)]
 
 
+def _integer(value, name):
+    """operator.index(value), or a TypeError that names the parameter."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(
+            "%s must be an integer, not %s" % (name, type(value).__name__)
+        ) from None
+
+
 def _weyl_sum(n, pairs):
     """Sum of c * ch W(w) over the (w, c) pairs, det-twisted to one degree."""
     return _homogeneous_sum(n, ((qwhittaker_char(w), c) for w, c in pairs))
@@ -801,7 +882,8 @@ def tensor_char_fundamental(variant, m, k, rank):
     each term det-twisted so all monomials share the total degree of the
     product. At rank 1 every alpha_{ab} is 2*omega_1.
     """
-    _tensor_edges(variant, rank)  # rank and variant errors come first
+    m, k = _integer(m, "m"), _integer(k, "k")
+    _tensor_edges(variant, rank)  # rank and variant errors before the signs
     if m < 0 or k < 0:
         raise ValueError("module parameters must be nonnegative")
     _, top, beta = _pair_weights(variant, m, k, rank)
@@ -820,6 +902,7 @@ def truncated_char(lam, j):
     [j i]_q q^{i(|lam|-j) - i(i-1)/2} times the graded Weyl character at
     lam - i*theta, det-twisted to keep a single total degree.
     """
+    j = _integer(j, "j")
     n = lam.n
     if n < 2:
         raise RankMismatchError("truncated characters require rank >= 2")
@@ -843,6 +926,7 @@ def m_module_char(nu, lam_scale, variant):
     q^{i(lam_scale+nu_e) - i(i-1)/2} times the graded Weyl character at
     nu + lam - i*alpha_e, det-twisted to keep a single total degree.
     """
+    lam_scale = _integer(lam_scale, "lam_scale")
     n = nu.n
     e, _ = _tensor_edges(_lookup(_M_MODULE_VARIANTS, variant), n)
     if n < 2:
@@ -872,36 +956,36 @@ def decompose_weyl_basis(f):
     The remainder is kept on dominant keys only: the remainder of a
     symmetric input stays symmetric, so its dominant coefficients determine
     it. Each value is its Z[q] coefficient evaluated exactly at
-    q = 2^(8w), packed once (qalg._signed_value). A step reads the leader's
-    dominant terms straight from the row memo, moves each to the same q by
-    its bytes (qalg._reslot), and subtracts it times the leader's value as
-    one int multiply and subtract. Evaluation is a ring map, so every value
-    stays exact, and no leader's full character is built or cached. The
-    memo is read at one width for all leaders, the widest _row_width of the
-    leaders so far, so the leaders share their sub-rows; a product of Weyl
+    q = 2^(8w), and the peel starts from f's packed values, moved to its w
+    by qalg._reslot_signed. A step reads the leader's dominant terms
+    straight from the row memo, moves each to the same q by its bytes
+    (qalg._reslot), and subtracts it times the leader's value as one int
+    multiply and subtract. Evaluation is a ring map, so every value stays
+    exact, and no leader's full character is built or cached. The memo is
+    read at one width for all leaders, the widest _row_width of the leaders
+    so far, so the leaders share their sub-rows; a product of Weyl
     characters has its widest leader first.
 
     A running bound B keeps the values readable. The remainder is always
     f - sum of c_nu P_nu over the leaders so far, and the coefficients of
     each coefficient of P_nu are nonnegative and add up to at most
     dim W(nu), so no coefficient of the remainder exceeds
-    B = max |coefficient of f| + sum of max |coefficient of c_nu| dim W(nu).
-    With 2^(8w - 1) > B the leader's coefficient reads back exactly
-    (qalg._signed_coeffs), and a value of 0 means the key cancelled. The
-    peel starts one byte above max |coefficient of f| + N(f); a step whose
-    new B does not fit re-slots every value at the least width that fits
+    B = M(f) + sum of max |coefficient of c_nu| dim W(nu), M(f) as f
+    carries it. With 2^(8w - 1) > B the leader's coefficient reads back
+    exactly (qalg._signed_coeffs), and a value of 0 means the key
+    cancelled. The peel starts one byte above M(f) + N(f); a step whose new
+    B does not fit re-slots every value at the least width that fits
     before it subtracts.
     """
     if not isinstance(f, GradedCharacter):
         raise TypeError("decompose_weyl_basis expects a GradedCharacter")
-    dominant = f._dominant
     n = f.n
     out = []
-    if not dominant:
+    if not f._packed:
         return out
-    bound = max(max(map(abs, p.coeffs)) for p in dominant.values())
-    width = _byte_width(256 * (bound + _abs_total(dominant)))
-    remainder = {k: _signed_value(p.coeffs, width) for k, p in dominant.items()}
+    bound = f._top
+    width = _byte_width(256 * (bound + f._total))
+    remainder = dict(_values_at(f, width))
     memo_width = 0
     previous = None
     while remainder:
@@ -916,8 +1000,7 @@ def decompose_weyl_basis(f):
         if _byte_width(bound) > width:
             wider = _byte_width(bound)
             remainder = {
-                k: _signed_value(_signed_coeffs(v, width), wider)
-                for k, v in remainder.items()
+                k: _reslot_signed(v, width, wider) for k, v in remainder.items()
             }
             width = wider
         scale = remainder[key]

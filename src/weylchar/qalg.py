@@ -20,9 +20,11 @@ and a machine-integer array is byteswapped on a big-endian host. This module
 is the only one that turns packed values into bytes or shifts them by slots.
 The row memo of charformulas takes its q-binomial weights from
 _packed_binomial, which runs the Pascal rule on the values at q = 256^width
-themselves, and reads its slots back by _unsigned_coeffs. The peel of
-decompose_weyl_basis keeps signed values at q = 2^(8w), w from _byte_width,
-and moves each memo value to its w by _reslot, byte for byte.
+themselves. A GradedCharacter stores each coefficient as one signed value at
+q = 2^(8w), w from _packed_width; memo values move to that w by _reslot and
+signed values between widths by _reslot_signed, byte for byte, and _at_one
+reads a value at q = 1 without unpacking it. The peel of decompose_weyl_basis
+keeps signed values at q = 2^(8w), w from _byte_width.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import functools
 import sys
 from array import array
+from collections import Counter
 from operator import add, index
 
 from .weights import _Value
@@ -108,17 +111,18 @@ def _from_slots(data, width, signed=True):
 
 
 def _spread(value, width, wider):
-    """Little-endian bytes of value >= 0, each width-byte slot widened to wider.
+    """Little-endian bytes of value >= 0, each width-byte slot moved to wider bytes.
 
-    The added bytes are zero and are the high bytes of each wider slot, so
-    a slot's nonnegative integer is unchanged.
+    Into a wider slot the added bytes are zero and are its high bytes, so a
+    slot's nonnegative integer is unchanged; into a narrower one the high
+    bytes are dropped, and each slot's integer must be below 256^wider.
     """
     count = -(-value.bit_length() // (8 * width))
     data = value.to_bytes(count * width, "little")
     if wider == width:
         return data
     out = bytearray(count * wider)
-    for j in range(width):
+    for j in range(min(width, wider)):
         out[j::wider] = data[j::width]
     return out
 
@@ -176,6 +180,52 @@ def _signed_coeffs(value, width):
     size = abs(value).bit_length() // (8 * width) + 1
     bias = _bias(width, size)
     return _from_slots(((value + bias) ^ bias).to_bytes(width * size, "little"), width)
+
+
+def _reslot_signed(value, width, new_width):
+    """The value at q = 2^(8*new_width) of the polynomial that value is at 2^(8*width).
+
+    Every |coefficient| must be below 2^(8*low - 1), low the smaller width.
+    Adding 2^(8*low - 1) to each slot makes every slot nonnegative and below
+    256^low, so the slots move as bytes to either width (_spread), and the
+    same bias at new_width is taken off again.
+    """
+    if new_width == width or not value:
+        return value
+    size = abs(value).bit_length() // (8 * width) + 1
+    low = min(width, new_width)
+    lift = _bias(width, size) >> 8 * (width - low)
+    drop = _bias(new_width, size) >> 8 * (new_width - low)
+    return int.from_bytes(_spread(value + lift, width, new_width), "little") - drop
+
+
+def _packed_width(bound):
+    """Bytes per slot of a character's packed values, every |coefficient| <= bound.
+
+    8, the widest machine-integer size, while that holds them, so that most
+    characters share one width; otherwise the least wider _byte_width.
+    """
+    return max(_ARRAY_WIDTHS[-1], _byte_width(bound))
+
+
+def _at_one(value, width):
+    """p(1) for the polynomial p whose value at q = 2^(8*width) is value.
+
+    q = 1 modulo q - 1, so value = p(1) modulo 2^(8*width) - 1, and with
+    |p(1)| below 2^(8*width - 1) the residue nearest 0 is p(1) itself.
+    """
+    modulus = (1 << 8 * width) - 1
+    residue = value % modulus
+    return residue - modulus if 2 * residue > modulus else residue
+
+
+def _packed_powers(exponents, width):
+    """The sum of q^e over exponents e >= 0, repeats adding up, at q = 2^(8*width).
+
+    Every count must be below 2^(8*width - 1).
+    """
+    counts = Counter(exponents)
+    return _signed_value([counts[e] for e in range(max(counts) + 1)], width)
 
 
 def _mul_kronecker(a, b):

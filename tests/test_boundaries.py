@@ -73,7 +73,7 @@ def _field_guards(node):
 
 def _opens_character(node):
     if isinstance(node, ast.Name):
-        return node.id == "_set_dominant" and isinstance(node.ctx, ast.Load)
+        return node.id == "_set_packed" and isinstance(node.ctx, ast.Load)
     return (
         isinstance(node, ast.Call)
         and ast.unparse(node.func) in ("_new_object", "object.__new__")
@@ -83,7 +83,14 @@ def _opens_character(node):
 
 def _character_storage(node):
     return _ref(node) == "_orbit_size" or (
-        isinstance(node, ast.Attribute) and node.attr == "_dominant"
+        isinstance(node, ast.Attribute) and node.attr in ("_dominant", "_packed")
+    )
+
+
+def _packs_coefficients(node):
+    return isinstance(node, ast.Call) and _ref(node.func) in (
+        "_signed_value",
+        "_signed_coeffs",
     )
 
 
@@ -113,6 +120,18 @@ RULES = {
         "a character's dominant terms are private to charformulas.py",
         _when(_character_storage),
         {"charformulas.py"},
+    ),
+    "pack-once": (
+        "a character's coefficients are packed or unpacked only at its edge: "
+        "constructor input, the QPoly view, scalar coefficients and the peel",
+        _when(_packs_coefficients),
+        {
+            "qalg.py",
+            "charformulas.py:_pack",
+            "charformulas.py:GradedCharacter._dominant",
+            "charformulas.py:_homogeneous_sum",
+            "charformulas.py:decompose_weyl_basis",
+        },
     ),
     "orbits-listed-where-walked": (
         "_orbit_size counts an orbit; only the walks that need its keys list it",

@@ -49,7 +49,6 @@ from weylchar.charformulas import (
     _partition_char_cached,
     _row_dominant_terms,
     _row_width,
-    _unpack,
     tensor_factors,
 )
 
@@ -100,6 +99,11 @@ def orbit_sum(n, key, coeff=1):
     return orbit_sums(n, (key, coeff))
 
 
+def from_dominant(n, dominant):
+    """The character with these {dominant key: nonzero QPoly} terms, no orbit listed."""
+    return charformulas._from_dominant(n, *charformulas._pack(dominant))
+
+
 def reference_homogeneous_sum(n, terms):
     """Reference for _homogeneous_sum: one QPoly multiply and add per dominant term."""
     data = {}
@@ -119,7 +123,7 @@ def reference_homogeneous_sum(n, terms):
             )
         shifted = ((tuple(e + shift for e in k), p) for k, p in dominant.items())
         charformulas._accumulate(data, ((k, p * coeff) for k, p in shifted))
-    return charformulas._from_dominant(n, data)
+    return from_dominant(n, data)
 
 
 class TestGradedCharacter:
@@ -437,6 +441,90 @@ def dominant_keys(n, top):
     return sorted({tuple(sorted(k, reverse=True)) for k in keys})
 
 
+class TestPackedWidths:
+    """Characters in 8-byte slots and wider, mixed in one operation."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_mixed_widths_match_plain_references(self, data):
+        n = data.draw(st.integers(1, 2))
+        pool = keys_of_degree(n, 2)
+        # small, about 2^63 on either side and beyond 2^70, of either sign
+        band = (
+            st.integers(-3, 3)
+            | st.integers(2**62, 2**64)
+            | st.integers(-(2**64), -(2**62))
+            | st.integers(2**70, 2**72)
+            | st.integers(-(2**72), -(2**70))
+        )
+        polys = st.dictionaries(st.integers(0, 2), band, max_size=3)
+
+        def draw_plain():
+            dominant = data.draw(
+                st.dictionaries(st.sampled_from(pool), polys, max_size=3)
+            )
+            return plain_sum(
+                (perm, poly)
+                for key, poly in dominant.items()
+                for perm in set(itertools.permutations(key))
+            )
+
+        def build(terms):
+            ch = GradedCharacter(n, {k: QPoly(p) for k, p in terms.items()})
+            if data.draw(st.booleans()):
+                # the same character, carried at the width of a bound of
+                # 2^71 * M(ch) or more
+                ch = ch * 2**70 + ch * (1 - 2**70)
+            return ch
+
+        def twist(terms, c):
+            return {tuple(e + c for e in k): p for k, p in terms.items()}
+
+        a, b = draw_plain(), draw_plain()
+        ca, cb = build(a), build(b)
+        scalar = data.draw(band | polys.map(QPoly))
+        if isinstance(scalar, int):
+            plain_scalar = {0: scalar} if scalar else {}
+        else:
+            plain_scalar = {i: c for i, c in enumerate(scalar.coeffs) if c}
+        minus_b = plain_scale(b, {0: -1})
+        # the first term, twisted by det once, sets the degree of the sum
+        terms = [(cb.det_twist(1), scalar), (ca, 1), (cb, -1)]
+        results = [
+            (ca + cb, plain_sum([*a.items(), *b.items()])),
+            (ca - cb, plain_sum([*a.items(), *minus_b.items()])),
+            (-ca, plain_scale(a, {0: -1})),
+            (ca * cb, plain_product(a, b)),
+            (ca * scalar, plain_scale(a, plain_scalar)),
+            (ca.det_twist(1), twist(a, 1)),
+            (_homogeneous_sum(n, terms), plain(reference_homogeneous_sum(n, terms))),
+        ]
+        for result, expected in results:
+            assert plain(result) == expected
+            assert result._dominant == charformulas._dominant_terms(result.terms)
+            # the reference is packed at the width its exact bound chooses
+            reference = GradedCharacter(n, {k: QPoly(p) for k, p in expected.items()})
+            assert result == reference
+            assert reference == result
+        assert (ca == cb) is (a == b)
+        assert (cb == ca) is (a == b)
+
+    def test_wide_and_narrow_copies_are_equal(self):
+        ch = qwhittaker_char(Weight(2, (2, 1)))
+        wide = ch * 2**70 + ch * (1 - 2**70)
+        assert (ch._width, wide._width) == (8, 10)
+        assert wide == ch and ch == wide
+        assert wide.terms == ch.terms
+        assert wide * ch == ch * ch
+        assert wide - ch == GradedCharacter.zero(2)
+        assert not wide == ch * 2
+        assert decompose_weyl_basis(wide * ch) == decompose_weyl_basis(ch * ch)
+
+
+def refuse_reslot(*args):
+    raise AssertionError("a packed value moved to another width")
+
+
 class TestSymmetricProduct:
     """Products of two symmetric characters on the dominant cone."""
 
@@ -474,17 +562,14 @@ class TestSymmetricProduct:
         assert a * -b == -expected
 
     def test_square_bound_reads_one_factor_term(self, monkeypatch):
-        # N(a) * N(b) = 3^40 would need 9-byte slots; N(a) * M(a) fits in 8
+        # N(a) * N(b) = 3^40 would need 9-byte slots; N(a) * M(a) fits in 8,
+        # the factor's own width, so no value of the factor moves
         ch = qwhittaker_char(Weight(2, (10, 10)))
-        widths = set()
-
-        def spy(coeffs, width):
-            widths.add(width)
-            return qalg._signed_value(coeffs, width)
-
-        monkeypatch.setattr(charformulas, "_signed_value", spy)
+        monkeypatch.setattr(charformulas, "_reslot_signed", refuse_reslot)
         square = ch * ch
-        assert widths == {8}
+        monkeypatch.undo()
+        assert ch._width == square._width == 8
+        # N(square) = 3^40 is read at 9 bytes
         assert square.q1_dimension() == 3**40
 
     def test_product_with_cancelled_terms(self):
@@ -531,18 +616,29 @@ class TestCarriedDominantTerms:
             return truncated_char(lam, data.draw(st.integers(0, min(a, b))))
 
         def draw_variant(ch):
-            how = data.draw(st.sampled_from(("fill", "copy", "near-fill", "near-copy")))
+            how = data.draw(
+                st.sampled_from(
+                    ("fill", "copy", "near-fill", "near-copy", "wide", "near-wide")
+                )
+            )
             if how == "fill":
                 return ch
             if how == "copy":
                 return GradedCharacter(n, dict(ch.terms))
+            if how == "wide":
+                # ch again, carried in slots wider than 8 bytes: its bound
+                # reads 2^70 * M(ch) or more
+                return ch * 2**70 + ch * (1 - 2**70)
             sign = data.draw(st.sampled_from((1, -1)))
             bump = QPoly({data.draw(st.integers(0, 3)): sign})
-            if how == "near-fill":
-                # the orbit of one dominant key shifted by +-q^k, as a sum's result
+            if how in ("near-fill", "near-wide"):
+                # the orbit of one dominant key shifted by +-q^k, as a sum's
+                # result, at 8 bytes or wider
                 dominant = sorted(k for k in ch.terms if is_dominant(k))
                 key = data.draw(st.sampled_from(dominant))
                 terms = [(ch, QPoly.one()), (orbit_sum(n, key), bump)]
+                if how == "near-wide":
+                    terms += [(ch, 2**70), (ch, -(2**70))]
                 return _homogeneous_sum(n, terms)
             # the orbit of any key shifted by +-q^k, through the constructor
             key = data.draw(st.sampled_from(sorted(ch.terms)))
@@ -557,6 +653,7 @@ class TestCarriedDominantTerms:
         same = dict(a.terms) == dict(b.terms)
         assert (a == b) is same
         assert (b == a) is same
+        assert (a == b) is (a._dominant == b._dominant)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -992,6 +1089,11 @@ class TestTensorFundamental:
         with pytest.raises(ValueError, match="module parameters must be nonnegative"):
             tensor_char_fundamental("omega1_omegan", -1, 1, 2)
 
+    @pytest.mark.parametrize("m,k,name", [(1.5, 1, "m"), (1, 2.0, "k")])
+    def test_non_integer_parameter_named(self, m, k, name):
+        with pytest.raises(TypeError, match="^%s must be an integer, not float$" % name):
+            tensor_char_fundamental("omega1_omegan", m, k, 2)
+
     @pytest.mark.parametrize("rank", [0, -1])
     @pytest.mark.parametrize("variant", ["omega1_omegan", "omega1_omega1", "omegan_omegan"])
     def test_rank_must_be_positive(self, rank, variant):
@@ -1078,7 +1180,7 @@ class TestHomogeneousSum:
                 poly = QPoly(data.draw(polys))
                 if poly and min(key) >= shift:
                     dominant[tuple(e - shift for e in key)] = poly
-            ch = charformulas._from_dominant(n, dominant)
+            ch = from_dominant(n, dominant)
             if data.draw(st.booleans()):
                 # the same character through the constructor
                 ch = GradedCharacter(n, dict(ch.terms))
@@ -1112,7 +1214,7 @@ class TestHomogeneousSum:
         # x1^2 coefficient 2^71 does not fit in 9; the constant character
         # is det-twisted up to (1, 1)
         big = 2**70
-        fill = functools.partial(charformulas._from_dominant, 1)
+        fill = functools.partial(from_dominant, 1)
         terms = [
             (fill({(2, 0): QPoly.one(), (1, 1): QPoly.const(-1)}), big),
             (fill({(2, 0): QPoly.one()}), QPoly({0: big, 1: -big})),
@@ -1142,6 +1244,11 @@ class TestTruncated:
             truncated_char(Weight(2, (2, 1)), 2)
         with pytest.raises(ValueError):
             truncated_char(Weight(2, (2, 1)), -1)
+
+    @pytest.mark.parametrize("j", [1.0, 0.5, "1"])
+    def test_non_integer_j_named(self, j):
+        with pytest.raises(TypeError, match="^j must be an integer, not "):
+            truncated_char(Weight(2, (2, 2)), j)
 
     def test_requires_dominant(self):
         with pytest.raises(ValueError, match="the highest weight must be dominant"):
@@ -1195,6 +1302,11 @@ class TestMModule:
             m_module_char(Weight(2, (1, 0)), -1, "first")
         with pytest.raises(ValueError, match="nu must be dominant"):
             m_module_char(Weight(2, (-1, 0)), 1, "first")
+        for scale in (1.0, 0.5):
+            with pytest.raises(
+                TypeError, match="^lam_scale must be an integer, not float$"
+            ):
+                m_module_char(Weight(2, (1, 0)), scale, "first")
 
     def test_scale_zero_collapses(self):
         nu = Weight(2, (1, 2))
@@ -1473,7 +1585,10 @@ def reference_row_terms(row):
 
 def unpacked_row(row, width):
     """The packed memo's entry for (row, width), each value unpacked."""
-    return {k: _unpack(v, width) for k, v in _row_dominant_terms(row, width).items()}
+    return {
+        k: qalg._wrap(qalg._unsigned_coeffs(v, width))
+        for k, v in _row_dominant_terms(row, width).items()
+    }
 
 
 def fresh_build_memo_size(coeffs, memo):
@@ -1683,17 +1798,17 @@ class TestRowDominantTerms:
         # bits, which 2-byte slots would read wrongly
         widths = []
 
-        def spy(coeffs, width):
-            if not widths or widths[-1] != width:
-                widths.append(width)
-            return qalg._signed_value(coeffs, width)
+        def spy(value, width, new_width):
+            if not widths or widths[-1] != new_width:
+                widths.append(new_width)
+            return qalg._reslot_signed(value, width, new_width)
 
         n = len(key) - 1
         f = orbit_sum(n, key)
         expected = [
             (partition_to_weight(Partition(k), n), c) for k, c in reference_peel(f)
         ]
-        monkeypatch.setattr(charformulas, "_signed_value", spy)
+        monkeypatch.setattr(charformulas, "_reslot_signed", spy)
         assert decompose_weyl_basis(f) == expected
         assert widths[0] == 2 and len(widths) == widenings + 1, widths
 

@@ -18,9 +18,13 @@ from weylchar import (
 from weylchar import charformulas, qalg
 from weylchar.filtration import verify_tensor_fundamental
 from weylchar.qalg import (
+    _at_one,
     _byte_width,
     _packed_binomial,
+    _packed_powers,
+    _packed_width,
     _reslot,
+    _reslot_signed,
     _signed_coeffs,
     _signed_value,
     _trim,
@@ -228,6 +232,49 @@ class TestDenseArithmetic:
         assert _reslot(value, width, width + extra) == horner_value(
             coeffs, width + extra
         )
+
+    @settings(deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 12), st.data())
+    def test_signed_reslot_is_the_value_at_another_q(self, width, new_width, data):
+        # the extremes +-(2^(8w-1) - 1) of the narrower width in any slot,
+        # the top one included, moved to a wider or a narrower slot
+        top = 2 ** (8 * min(width, new_width) - 1) - 1
+        entries = st.sampled_from((-top, -1, 0, 1, top)) | st.integers(-top, top)
+        coeffs = data.draw(st.lists(entries, max_size=12))
+        moved = _reslot_signed(horner_value(coeffs, width), width, new_width)
+        assert moved == horner_value(coeffs, new_width)
+
+    @pytest.mark.parametrize("width", range(1, 11))
+    def test_signed_reslot_at_the_slot_extremes(self, width):
+        # +-(2^(8w-1) - 1), the largest |c| of w signed bytes, in every
+        # position, there and back through wider slots
+        top = 2 ** (8 * width - 1) - 1
+        for coeffs in ((top,), (-top,), (top, -top), (-top, 0, top), (0, -1, -top)):
+            value = _signed_value(coeffs, width)
+            for wider in (width + 1, width + 3, 12):
+                moved = _reslot_signed(value, width, wider)
+                assert moved == horner_value(coeffs, wider), (coeffs, wider)
+                assert _reslot_signed(moved, wider, width) == value
+                assert _signed_coeffs(moved, wider) == coeffs
+            assert _reslot_signed(value, width, width) == value
+
+    @settings(deadline=None)
+    @given(st.integers(1, 10), st.data())
+    def test_at_one_reads_the_packed_value(self, width, data):
+        # any p with |p(1)| below 2^(8w-1), the extremes among them
+        top = 2 ** (8 * width - 1) - 1
+        extremes = st.sampled_from(([top], [-top], [0, top], [1, -top], []))
+        small = st.lists(st.integers(-(top // 12), top // 12), max_size=12)
+        coeffs = data.draw(extremes | small)
+        assert _at_one(horner_value(coeffs, width), width) == sum(coeffs)
+
+    def test_packed_width_is_eight_below_two_to_the_63(self):
+        bounds = (0, 1, 2**63 - 1, 2**63, 2**71 - 1, 2**71)
+        assert [_packed_width(b) for b in bounds] == [8, 8, 8, 9, 9, 10]
+
+    def test_packed_powers_add_repeats(self):
+        assert _packed_powers([5, 0, 2, 2], 8) == horner_value([1, 0, 2, 0, 0, 1], 8)
+        assert _packed_powers(iter([3]), 9) == horner_value([0, 0, 0, 1], 9)
 
     @pytest.mark.parametrize("width", range(1, 13))
     def test_byte_width_is_the_least_signed_slot(self, width):
