@@ -96,6 +96,7 @@ from .qalg import (
     _reslot_signed,
     _signed_coeffs,
     _signed_value,
+    _unsigned_at_one,
     _wrap,
     q_binomial,
     q_pochhammer,
@@ -389,16 +390,6 @@ def _from_dominant(n, values, width, total, top):
     return ch
 
 
-def _from_nonnegative(n, values, width, dim):
-    """_from_dominant for packed values of nonnegative coefficients adding up to dim.
-
-    dim is N, and each value's coefficients add up to its value at q = 1, so
-    M is read exactly from the values (qalg._at_one).
-    """
-    top = max((_at_one(v, width) for v in values.values()), default=0)
-    return _from_dominant(n, values, width, dim, top)
-
-
 def _values_at(ch, width):
     """The packed dominant terms of ch at q = 2^(8 * width).
 
@@ -568,11 +559,12 @@ def _partition_char_cached(row):
     dim = _row_dim(row)
     width = _packed_width(dim)
     values = _row_dominant_terms(row, memo_width)
-    return _from_nonnegative(
+    return _from_dominant(
         len(row) - 1,
         {k: _reslot(v, memo_width, width) for k, v in values.items()},
         width,
         dim,
+        _row_top(row, memo_width),
     )
 
 
@@ -647,6 +639,18 @@ def _row_dim(row):
 def _row_width(row):
     """Slot width in bytes for P_row: the byte length of dim W(row)."""
     return (_row_dim(row).bit_length() + 7) // 8
+
+
+def _row_top(row, width):
+    """M(P_row): the memo value at the balanced key of |row|, read at q = 1.
+
+    P_row(x; 1, 0) = e_{row'} (Macdonald, Ch. VI (4.14)), whose
+    multiplicities rise down the dominance order, and the balanced key is
+    below every other. width must be at least _row_width(row).
+    """
+    low, extra = divmod(sum(row), len(row))
+    balanced = (low + 1,) * extra + (low,) * (len(row) - extra)
+    return _unsigned_at_one(_row_dominant_terms(row, width)[balanced], width)
 
 
 @functools.lru_cache(maxsize=None)
@@ -743,7 +747,9 @@ def pop_char(lam):
             product *= factor
         key = pattern_weight(pattern)
         data[key] = data.get(key, 0) + product
-    return _from_nonnegative(lam.n, _dominant_terms(data), width, dim)
+    values = _dominant_terms(data)
+    top = max(_at_one(v, width) for v in values.values())
+    return _from_dominant(lam.n, values, width, dim, top)
 
 
 def irreducible_char(lam):
@@ -966,16 +972,14 @@ def decompose_weyl_basis(f):
     so far, so the leaders share their sub-rows; a product of Weyl
     characters has its widest leader first.
 
-    A running bound B keeps the values readable. The remainder is always
-    f - sum of c_nu P_nu over the leaders so far, and the coefficients of
-    each coefficient of P_nu are nonnegative and add up to at most
-    dim W(nu), so no coefficient of the remainder exceeds
-    B = M(f) + sum of max |coefficient of c_nu| dim W(nu), M(f) as f
-    carries it. With 2^(8w - 1) > B the leader's coefficient reads back
-    exactly (qalg._signed_coeffs), and a value of 0 means the key
-    cancelled. The peel starts one byte above M(f) + N(f); a step whose new
-    B does not fit re-slots every value at the least width that fits
-    before it subtracts.
+    A running bound B keeps the values readable. The remainder is
+    f - sum of c_nu P_nu over the leaders so far, and every coefficient of
+    P_nu is nonnegative and at most M(P_nu) at q = 1 (_row_top), so none of
+    the remainder exceeds B = M(f) + sum of max |coefficient of c_nu| M(P_nu).
+    With 2^(8w - 1) > B the leader's coefficient reads back exactly
+    (qalg._signed_coeffs), and a value of 0 means the key cancelled. w
+    starts at that of M(f) + N(f), which B stays within on most squares of
+    Weyl characters; a step whose B outgrows w re-slots every value first.
     """
     if not isinstance(f, GradedCharacter):
         raise TypeError("decompose_weyl_basis expects a GradedCharacter")
@@ -984,7 +988,7 @@ def decompose_weyl_basis(f):
     if not f._packed:
         return out
     bound = f._top
-    width = _byte_width(256 * (bound + f._total))
+    width = _byte_width(bound + f._total)
     remainder = dict(_values_at(f, width))
     memo_width = 0
     previous = None
@@ -995,8 +999,8 @@ def decompose_weyl_basis(f):
         previous = key
         coeffs = _signed_coeffs(remainder[key], width)
         out.append((partition_to_weight(Partition(key), n), _wrap(coeffs)))
-        bound += max(map(abs, coeffs)) * _row_dim(key)
         memo_width = max(memo_width, _row_width(key))
+        bound += max(map(abs, coeffs)) * _row_top(key, memo_width)
         if _byte_width(bound) > width:
             wider = _byte_width(bound)
             remainder = {

@@ -22,9 +22,10 @@ The row memo of charformulas takes its q-binomial weights from
 _packed_binomial, which runs the Pascal rule on the values at q = 256^width
 themselves. A GradedCharacter stores each coefficient as one signed value at
 q = 2^(8w), w from _packed_width; memo values move to that w by _reslot and
-signed values between widths by _reslot_signed, byte for byte, and _at_one
-reads a value at q = 1 without unpacking it. The peel of decompose_weyl_basis
-keeps signed values at q = 2^(8w), w from _byte_width.
+signed values between widths by _reslot_signed, byte for byte. _at_one reads
+a signed value at q = 1 without unpacking it, and _unsigned_at_one a memo
+value. The peel of decompose_weyl_basis keeps signed values at q = 2^(8w),
+w from _byte_width.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def _trim(coeffs):
 
 
 # Signed machine-integer array typecodes by size in bytes, used to move whole
-# coefficient tuples in and out of byte strings at C speed; upper case is unsigned.
+# coefficient tuples in and out of byte strings at C speed.
 _SIGNED_TYPECODES = {array(t).itemsize: t for t in "bhiq"}
 _ARRAY_WIDTHS = sorted(_SIGNED_TYPECODES)
 
@@ -93,18 +94,18 @@ def _to_slots(coeffs, width):
     return b"".join([c.to_bytes(width, "little", signed=True) for c in coeffs])
 
 
-def _from_slots(data, width, signed=True):
-    """Inverse of _to_slots: the integers in consecutive slots, signed or not."""
+def _from_slots(data, width):
+    """Inverse of _to_slots: the signed integers in consecutive slots."""
     typecode = _SIGNED_TYPECODES.get(width)
     if typecode:
-        slots = array(typecode if signed else typecode.upper(), data)
+        slots = array(typecode, data)
         if _BYTESWAP:
             slots.byteswap()
         return tuple(slots)
     from_bytes = int.from_bytes
     return tuple(
         [
-            from_bytes(data[i : i + width], "little", signed=signed)
+            from_bytes(data[i : i + width], "little", signed=True)
             for i in range(0, len(data), width)
         ]
     )
@@ -119,34 +120,22 @@ def _spread(value, width, wider):
     """
     count = -(-value.bit_length() // (8 * width))
     data = value.to_bytes(count * width, "little")
-    if wider == width:
-        return data
     out = bytearray(count * wider)
     for j in range(min(width, wider)):
         out[j::wider] = data[j::width]
     return out
 
 
-def _unsigned_coeffs(value, width):
-    """The nonnegative integers in the width-byte slots of value >= 0.
+def _reslot(value, width, new_width):
+    """The value at q = 256^new_width of the polynomial that value >= 0 is at 256^width.
 
-    Slots are padded to the next power-of-two width and read as one array
-    when that is a machine-integer size; wider slots are read one by one.
+    Every coefficient must be nonnegative and below 256^width and
+    256^new_width. The slots are moved as bytes: no coefficient is read as
+    an integer.
     """
-    power = 1 << (width - 1).bit_length()
-    size = power if power in _SIGNED_TYPECODES else width
-    return _from_slots(_spread(value, width, size), size, signed=False)
-
-
-def _reslot(value, width, wider):
-    """The value at q = 256^wider of the polynomial that value >= 0 is at 256^width.
-
-    Every coefficient must be nonnegative and below 256^width, wider >= width.
-    The slots are moved as bytes: no coefficient is read as an integer.
-    """
-    if wider == width:
+    if new_width == width:
         return value
-    return int.from_bytes(_spread(value, width, wider), "little")
+    return int.from_bytes(_spread(value, width, new_width), "little")
 
 
 @functools.cache
@@ -217,6 +206,17 @@ def _at_one(value, width):
     modulus = (1 << 8 * width) - 1
     residue = value % modulus
     return residue - modulus if 2 * residue > modulus else residue
+
+
+def _unsigned_at_one(value, width):
+    """p(1) for a polynomial p >= 0 with 1 <= p(1) < 256^width, value = p(256^width).
+
+    As for _at_one, value = p(1) modulo 256^width - 1; in this range the
+    residue is p(1) itself, a residue of 0 standing for the modulus. The
+    signed read would take p(1) >= 2^(8*width - 1) as negative.
+    """
+    modulus = (1 << 8 * width) - 1
+    return value % modulus or modulus
 
 
 def _packed_powers(exponents, width):

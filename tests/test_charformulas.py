@@ -48,11 +48,13 @@ from weylchar.charformulas import (
     _orbit_size,
     _partition_char_cached,
     _row_dominant_terms,
+    _row_top,
     _row_width,
     tensor_factors,
 )
 
 from test_gtpop import weyl_dimension
+from test_qalg import unsigned_coeffs
 
 
 def x(*exps):
@@ -1586,7 +1588,7 @@ def reference_row_terms(row):
 def unpacked_row(row, width):
     """The packed memo's entry for (row, width), each value unpacked."""
     return {
-        k: qalg._wrap(qalg._unsigned_coeffs(v, width))
+        k: qalg._wrap(unsigned_coeffs(v, width))
         for k, v in _row_dominant_terms(row, width).items()
     }
 
@@ -1730,8 +1732,8 @@ class TestRowDominantTerms:
         # the leaders of a bench product, at their own width and at the
         # first leader's, the widest: the peel reads the row memo at the
         # widest leader width so far and moves each value to the width of
-        # its running bound, which is at least that, since the bound grows
-        # by dim W(mu) or more at each leader mu
+        # its remainder, which is at least that here: it holds M(f) + N(f),
+        # and N(f) = dim W(a) dim W(b) is at least dim W(mu) for each leader
         a, b = (qwhittaker_char(Weight(len(c), c)) for c in pair)
         n = a.n
         steps = reference_peel(a * b)
@@ -1750,8 +1752,9 @@ class TestRowDominantTerms:
         # to 1,968 and needs 3-byte slots: the peel reads the row memo at the
         # widest leader width so far, so the second leader widens it, and a
         # memo read at 1 byte would carry between slots. The remainder is
-        # sized by the running bound instead, which starts one byte above
-        # N(f) = 1 + dim W(12, 0) and so needs no widening here
+        # sized by the running bound instead; it starts at the width of
+        # M(f) + N(f), which the bound of this nonnegative expansion never
+        # passes, so it needs no widening here
         assert _row_width((13, 13, 13)) == 1 and _row_width((12, 0, 0)) == 3
         f = qwhittaker_partition_char((13, 13, 13), 2) + qwhittaker_partition_char(
             (12, 0, 0), 2
@@ -1783,19 +1786,20 @@ class TestRowDominantTerms:
         "key,widenings",
         [
             ((12, 0, 0), 1),
-            ((8, 4, 0), 0),
-            ((24, 0, 0), 2),
-            ((30, 0, 0), 1),
-            ((40, 0), 1),
+            ((8, 4, 0), 1),
+            ((24, 0, 0), 1),
+            ((30, 0, 0), 2),
+            ((40, 0), 2),
         ],
         ids=str,
     )
     def test_monomial_orbit_widens_the_remainder(self, monkeypatch, key, widenings):
-        # m_key has N(f) = its orbit size, so its remainder starts in 2-byte
-        # slots, but its expansion in the P basis grows: for all but
-        # m_(8,4,0) the running bound passes 2^15 and the peel re-slots the
-        # remainder. m_(30,0,0) and m_(40) have coefficients of 18 and 20
-        # bits, which 2-byte slots would read wrongly
+        # m_key has M(f) = 1 and N(f) = its orbit size, so its remainder
+        # starts in 1-byte slots, but its expansion in the P basis has signed
+        # coefficients and grows: the running bound passes 2^7 and the peel
+        # re-slots the remainder, m_(30,0,0) to 6 and then 7 bytes, m_(40)
+        # to 5 and then 6. Their coefficients of 18 and 20 bits would read
+        # wrongly from the slots the peel starts in
         widths = []
 
         def spy(value, width, new_width):
@@ -1810,7 +1814,52 @@ class TestRowDominantTerms:
         ]
         monkeypatch.setattr(charformulas, "_reslot_signed", spy)
         assert decompose_weyl_basis(f) == expected
-        assert widths[0] == 2 and len(widths) == widenings + 1, widths
+        assert widths[0] == 1 and len(widths) == widenings + 1, widths
+
+    def test_row_top_is_the_largest_value_at_one(self):
+        # M(P_row) is read at the balanced key alone; every dominant key's
+        # value at q = 1 is read from the unpacked memo, at the row's own
+        # width and at 9 bytes, and the built character carries the same M
+        rows = GRID_ROWS + [
+            weight_to_bounding_partition(Weight(len(c), c)).padded(len(c) + 1)
+            for c in ((12, 12), (3, 3, 3), (2, 2, 2, 2))
+        ]
+        assert len(rows) == 144
+        for row in rows:
+            top = max(p.at_one() for p in unpacked_row(row, _row_width(row)).values())
+            assert _row_top(row, _row_width(row)) == top, row
+            assert _row_top(row, 9) == top, row
+            assert qwhittaker_partition_char(row, len(row) - 1)._top == top, row
+
+    def test_products_never_re_slot_the_remainder(self, monkeypatch):
+        # the running bound of these squares stays within the start width,
+        # that of M(f) + N(f): the only move is the product's values into
+        # the remainder. The expansion is not nonnegative (at q = 1 it is
+        # P_2lam alone), so this holds by measurement, not by a proof, and
+        # deeper squares such as W(12,12)^2 do re-slot
+        moves = set()
+
+        def spy(value, width, new_width):
+            moves.add((width, new_width))
+            return qalg._reslot_signed(value, width, new_width)
+
+        monkeypatch.setattr(charformulas, "_reslot_signed", spy)
+        weights = [
+            Weight(n, c)
+            for n, top in ((2, 4), (3, 2))
+            for c in itertools.product(range(top + 1), repeat=n)
+        ]
+        assert len(weights) == 52
+        for lam in weights:
+            char = qwhittaker_char(lam)
+            square = char * char
+            moves.clear()
+            steps = decompose_weyl_basis(square)
+            assert sum(p.at_one() * pop_count(mu) for mu, p in steps) == (
+                pop_count(lam) ** 2
+            ), lam
+            start = qalg._byte_width(square._top + square._total)
+            assert moves <= {(square._width, start)}, (lam, moves)
 
     def test_character_builds_no_q_binomial(self):
         # the row memo's weights come from qalg._packed_binomial, the Pascal

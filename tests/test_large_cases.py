@@ -62,7 +62,7 @@ if char.q1_dimension() != 3**60:
 """),
     # squares and decomposes qwhittaker_char of (3,3,3), (4,4,4) and
     # (2,2,2,2); the W(4,4,4) peel reads 7-byte slots of the packed row memo
-    # into an 8-byte remainder, and the W(2,2,2,2) square walks orbits of up
+    # into a 7-byte remainder, and the W(2,2,2,2) square walks orbits of up
     # to 120 keys. The components' dimensions at q = 1 must add up to
     # (dim W(lam))^2. The three squares share one process and their row memos
     # add up: 110-114 MB on CPython 3.10-3.13. A peel that rebuilt the row

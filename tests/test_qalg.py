@@ -28,7 +28,7 @@ from weylchar.qalg import (
     _signed_coeffs,
     _signed_value,
     _trim,
-    _unsigned_coeffs,
+    _unsigned_at_one,
 )
 
 
@@ -158,6 +158,15 @@ def horner_value(coeffs, width):
     return value
 
 
+def unsigned_coeffs(value, width):
+    """The coefficients of a value whose slots hold integers below 256^width.
+
+    One byte wider each fits a signed slot, so _reslot and the signed read
+    give them back: the route by which row memo values reach signed slots.
+    """
+    return _signed_coeffs(_reslot(value, width, width + 1), width + 1)
+
+
 def check_unsigned_slots():
     # full slots, a zero slot and a lone top bit, at the widths read by array
     # and at those read by int.from_bytes: coefficients of the packed row
@@ -168,7 +177,7 @@ def check_unsigned_slots():
         coeffs = (top, 0, 1 << (8 * width - 1), 1, top)
         value = sum(c << (8 * width * i) for i, c in enumerate(coeffs))
         assert horner_value(coeffs, width) == value, width
-        assert _unsigned_coeffs(value, width) == coeffs, width
+        assert unsigned_coeffs(value, width) == coeffs, width
 
 
 class TestDenseArithmetic:
@@ -219,7 +228,7 @@ class TestDenseArithmetic:
         entries = st.sampled_from((0, 1, top)) | st.integers(0, top)
         coeffs = data.draw(st.lists(entries, max_size=12))
         value = horner_value(coeffs, width)
-        assert _unsigned_coeffs(value, width) == _trim(coeffs)
+        assert unsigned_coeffs(value, width) == _trim(coeffs)
 
     @settings(deadline=None)
     @given(st.integers(1, 12), st.integers(0, 4), st.data())
@@ -232,6 +241,19 @@ class TestDenseArithmetic:
         assert _reslot(value, width, width + extra) == horner_value(
             coeffs, width + extra
         )
+
+    @settings(deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.data())
+    def test_reslot_narrows_when_the_slots_hold_every_coefficient(
+        self, width, new_width, data
+    ):
+        # the peel moves memo values to a remainder narrower than the memo
+        # when its running bound allows: full slots of the narrower width
+        top = 256 ** min(width, new_width) - 1
+        entries = st.sampled_from((0, 1, top)) | st.integers(0, top)
+        coeffs = data.draw(st.lists(entries, max_size=12))
+        moved = _reslot(horner_value(coeffs, width), width, new_width)
+        assert moved == horner_value(coeffs, new_width)
 
     @settings(deadline=None)
     @given(st.integers(1, 10), st.integers(1, 12), st.data())
@@ -268,6 +290,18 @@ class TestDenseArithmetic:
         coeffs = data.draw(extremes | small)
         assert _at_one(horner_value(coeffs, width), width) == sum(coeffs)
 
+    @pytest.mark.parametrize("width", range(1, 10))
+    def test_unsigned_at_one_reads_the_top_of_the_range(self, width):
+        # p(1) from 2^(8w-1) + 1, which the signed read takes as negative,
+        # up to 256^w - 1, whose residue is 0, spread over slots or in one
+        top = 256**width - 1
+        for total in (1, 2 ** (8 * width - 1) + 1, top):
+            for coeffs in ([total], [0, total], [total - total // 2, 0, total // 2]):
+                value = horner_value(coeffs, width)
+                assert _unsigned_at_one(value, width) == total, (coeffs, width)
+        assert _at_one(horner_value([top], width), width) == 0
+        assert _at_one(2 ** (8 * width - 1) + 1, width) < 0
+
     def test_packed_width_is_eight_below_two_to_the_63(self):
         bounds = (0, 1, 2**63 - 1, 2**63, 2**71 - 1, 2**71)
         assert [_packed_width(b) for b in bounds] == [8, 8, 8, 9, 9, 10]
@@ -299,7 +333,7 @@ class TestDenseArithmetic:
                 for width in range(least, 13):
                     packed = _packed_binomial(n, r, width)
                     assert packed == horner_value(coeffs, width), (n, r, width)
-                    assert _unsigned_coeffs(packed, width) == coeffs, (n, r, width)
+                    assert unsigned_coeffs(packed, width) == coeffs, (n, r, width)
 
     @settings(deadline=None)
     @given(coeff_dicts(max_len=40))
